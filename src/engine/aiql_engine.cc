@@ -10,8 +10,6 @@
 #include "query/analyzer.h"
 #include "query/parser.h"
 #include "storage/shard_map.h"
-#include "storage/snapshot.h"
-#include "storage/tiered.h"
 
 namespace aiql {
 
@@ -34,25 +32,13 @@ bool HasLimits(const QueryLimits& limits) {
 
 }  // namespace
 
-AiqlEngine::AiqlEngine(const AuditDatabase* db, EngineOptions options)
-    : db_(db), options_(options), pool_(MakePool(options_)) {}
-
-AiqlEngine::AiqlEngine(const SnapshotStore* snapshot, EngineOptions options)
-    : snapshot_(snapshot), options_(options), pool_(MakePool(options_)) {}
-
-AiqlEngine::AiqlEngine(const TieredStore* tiered, EngineOptions options)
-    : tiered_(tiered), options_(options), pool_(MakePool(options_)) {}
+AiqlEngine::AiqlEngine(const PartitionSource* source, EngineOptions options)
+    : source_(source), options_(options), pool_(MakePool(options_)) {}
 
 AiqlEngine::AiqlEngine(const ShardMap* shards, EngineOptions options)
     : shards_(shards), options_(options), pool_(MakePool(options_)) {}
 
 AiqlEngine::~AiqlEngine() = default;
-
-ReadView AiqlEngine::OpenView() const {
-  if (db_ != nullptr) return db_->OpenReadView();
-  if (tiered_ != nullptr) return tiered_->OpenReadView();
-  return snapshot_->OpenReadView();
-}
 
 Result<QueryResult> AiqlEngine::Execute(std::string_view text) {
   // Engine-default governance: any nonzero default limit builds a fresh
@@ -82,12 +68,11 @@ Result<QueryResult> AiqlEngine::Dispatch(const ParsedQuery& parsed,
     ShardedExecutor executor(shards_, options_, pool_.get());
     return executor.Execute(parsed, ctx);
   }
-  // One consistent snapshot of the sealed partitions per query: the view
-  // holds the database's state lock shared, so ingestion keeps buffering
-  // while this query runs and commits apply once the view closes. A
-  // snapshot- or tiered-backed view instead selects against the on-disk
-  // directory and materializes only the partitions this query touches.
-  ReadView view = OpenView();
+  // One consistent snapshot of the sealed partitions per query: a view over
+  // a live database holds its state lock shared, so ingestion keeps
+  // buffering while this query runs and commits apply once the view
+  // closes; cold partitions materialize only if this query selects them.
+  ReadView view = source_->OpenReadView();
   // Bind the context for the dispatching thread: partition selection may
   // materialize cold partitions, which charge the query's memory budget
   // through the ambient context (workers re-bind it themselves).
@@ -157,7 +142,7 @@ Result<ProvenanceResult> AiqlEngine::Track(const TrackRequest& request) {
 Result<ProvenanceResult> AiqlEngine::Track(const TrackRequest& request,
                                            QueryContext* ctx) {
   if (shards_ != nullptr) return TrackSharded(request, ctx);
-  ReadView view = OpenView();
+  ReadView view = source_->OpenReadView();
   ScopedQueryContext bind(ctx);
   const EntityStore& entities = view.entities();
   LikeMatcher matcher(request.name_like);

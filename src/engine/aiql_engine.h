@@ -20,9 +20,7 @@
 
 namespace aiql {
 
-class SnapshotStore;
 class ShardMap;
-class TieredStore;
 
 /// Point-of-interest specification for AiqlEngine::Track(): every entity of
 /// `type` whose default attribute (exe name / path / dst ip) matches
@@ -37,37 +35,27 @@ struct TrackRequest {
   ProvenanceOptions options;
 };
 
-/// Executes AIQL queries (multievent, dependency, anomaly) against an
-/// AuditDatabase. Each Execute opens a ReadView — a consistent snapshot of
-/// the currently-sealed partitions — so queries are safe and consistent
-/// while a writer thread keeps ingesting (bounded staleness: events become
-/// visible once their partition seals). Thread-safe for concurrent Execute
-/// calls (views are shared-locked and the pool is internally synchronized).
+/// Executes AIQL queries (multievent, dependency, anomaly) against one
+/// PartitionSource or a ShardMap. Each Execute opens a ReadView — a
+/// consistent snapshot of the currently-sealed partitions — so queries are
+/// safe and consistent while a writer thread keeps ingesting (bounded
+/// staleness: events become visible once their partition seals). Cold
+/// partitions (snapshot, or demoted by a tiered store) materialize only
+/// when a query selects them, blocking it for the read and charging the
+/// query's byte budget. Thread-safe for concurrent Execute calls (views
+/// are shared-locked and the pool is internally synchronized).
 class AiqlEngine {
  public:
-  /// `db` must outlive the engine. It may still be ingesting; batch
-  /// workloads Seal() it first so every event is visible.
-  explicit AiqlEngine(const AuditDatabase* db, EngineOptions options = {});
-
-  /// Executes queries directly against a lazily opened v2 snapshot: each
-  /// query materializes (and caches) only the partitions its time range and
-  /// agent filter select, so the cold-start cost tracks data touched, not
-  /// data stored. `snapshot` must outlive the engine.
-  explicit AiqlEngine(const SnapshotStore* snapshot,
+  /// Queries one store: an AuditDatabase (which may still be ingesting;
+  /// batch workloads Seal() it first so every event is visible), a
+  /// SnapshotStore or a TieredStore. `source` must outlive the engine.
+  explicit AiqlEngine(const PartitionSource* source,
                       EngineOptions options = {});
 
-  /// Tiered-retention mode: queries run over the store's hot + cold
-  /// partitions through one consistent view; cold partitions selected by a
-  /// query materialize through the store's memory-budgeted cache (blocking
-  /// the query mid-stream for the reopen I/O) and are charged to the
-  /// query's byte budget. `tiered` must outlive the engine.
-  explicit AiqlEngine(const TieredStore* tiered, EngineOptions options = {});
-
-  /// Sharded mode: queries scatter across the map's shards (each backed by
-  /// a database or snapshot keyed by agent range) and gather through the
-  /// merge layer; Track() exchanges provenance frontiers across shards.
-  /// Single-db construction and semantics are unchanged. `shards` must
-  /// outlive the engine.
+  /// Sharded mode: queries scatter across the map's shards (agent ranges,
+  /// each backed by any store) and gather through the merge layer; Track()
+  /// exchanges provenance frontiers across shards. `shards` must outlive
+  /// the engine.
   explicit AiqlEngine(const ShardMap* shards, EngineOptions options = {});
 
   ~AiqlEngine();
@@ -112,12 +100,7 @@ class AiqlEngine {
   Result<ProvenanceResult> TrackSharded(const TrackRequest& request,
                                         QueryContext* ctx);
 
-  /// Opens the backing store's read view (database, tiered, or snapshot).
-  ReadView OpenView() const;
-
-  const AuditDatabase* db_ = nullptr;
-  const SnapshotStore* snapshot_ = nullptr;
-  const TieredStore* tiered_ = nullptr;
+  const PartitionSource* source_ = nullptr;
   const ShardMap* shards_ = nullptr;
   EngineOptions options_;
   std::unique_ptr<ThreadPool> pool_;

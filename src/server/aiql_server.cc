@@ -10,7 +10,6 @@
 #include "common/time_utils.h"
 #include "graph/cypher_gen.h"
 #include "graph/graph_store.h"
-#include "storage/database.h"
 #include "storage/shard_map.h"
 #include "storage/tiered.h"
 
@@ -132,8 +131,10 @@ std::string RenderLimits(const QueryLimits& limits) {
          " bytes=" + std::to_string(limits.max_bytes);
 }
 
-std::string RenderDbStats(const AuditDatabase& db) {
-  const DatabaseStats& stats = db.stats();
+/// Statistics and entity counts of one store, read through `view` so a
+/// live writer's commits cannot race the read.
+std::string RenderDbStats(const ReadView& view) {
+  const DatabaseStats& stats = view.stats();
   char line[256];
   std::string out;
   std::snprintf(line, sizeof(line),
@@ -152,9 +153,9 @@ std::string RenderDbStats(const AuditDatabase& db) {
   out += line;
   std::snprintf(line, sizeof(line),
                 "processes/files/connections: %zu / %zu / %zu\n",
-                db.entities().processes().size(),
-                db.entities().files().size(),
-                db.entities().networks().size());
+                view.entities().processes().size(),
+                view.entities().files().size(),
+                view.entities().networks().size());
   out += line;
   if (stats.total_events > 0) {
     out += "time range      : " + FormatTimestamp(stats.min_ts) + " .. " +
@@ -167,11 +168,12 @@ std::string RenderShardLayout(const ShardMap& shards) {
   TablePrinter printer({"shard", "agents", "backend", "events"});
   for (size_t s = 0; s < shards.num_shards(); ++s) {
     const ShardRange& range = shards.range(s);
+    const PartitionSource* source = shards.source(s);
     printer.AddRow({std::to_string(s),
                     "[" + std::to_string(range.begin) + ", " +
                         std::to_string(range.end) + ")",
-                    shards.shard_is_snapshot(s) ? "snapshot" : "database",
-                    "-"});
+                    source->kind(),
+                    std::to_string(source->StatsSnapshot().total_events)});
   }
   std::string out = printer.ToString();
   out += "-- " + std::to_string(shards.num_shards()) + " shards, " +
@@ -229,9 +231,9 @@ std::string RenderTrackSummary(const ProvenanceResult& result) {
 // AiqlServer
 // ---------------------------------------------------------------------------
 
-AiqlServer::AiqlServer(const AuditDatabase* db, const ShardMap* shards,
+AiqlServer::AiqlServer(const PartitionSource* source, const ShardMap* shards,
                        ServerOptions options, EngineOptions engine_options)
-    : db_(db),
+    : source_(source),
       shards_(shards),
       options_(std::move(options)),
       gate_(options_.max_concurrent_queries, options_.admission_queue_depth,
@@ -239,9 +241,8 @@ AiqlServer::AiqlServer(const AuditDatabase* db, const ShardMap* shards,
   // Session limits govern every query via a per-query context; engine
   // defaults must not stack a second context on top.
   engine_options.default_limits = QueryLimits{};
-  if (db_ != nullptr) {
-    EngineOptions single = engine_options;
-    engine_single_ = std::make_unique<AiqlEngine>(db_, single);
+  if (source_ != nullptr) {
+    engine_single_ = std::make_unique<AiqlEngine>(source_, engine_options);
   }
   if (shards_ != nullptr) {
     EngineOptions strict = engine_options;
@@ -255,15 +256,9 @@ AiqlServer::AiqlServer(const AuditDatabase* db, const ShardMap* shards,
 
 AiqlServer::AiqlServer(const TieredStore* tiered, const ShardMap* shards,
                        ServerOptions options, EngineOptions engine_options)
-    : AiqlServer(tiered != nullptr ? &tiered->db() : nullptr, shards,
+    : AiqlServer(static_cast<const PartitionSource*>(tiered), shards,
                  std::move(options), engine_options) {
-  if (tiered != nullptr) {
-    // Replace the hot-only engine the delegated constructor built with one
-    // over the full tiered store (hot + cold partitions).
-    engine_options.default_limits = QueryLimits{};
-    engine_single_ = std::make_unique<AiqlEngine>(tiered, engine_options);
-    AttachRetention(tiered);
-  }
+  AttachRetention(tiered);
 }
 
 AiqlServer::~AiqlServer() { Stop(); }
@@ -314,7 +309,7 @@ void AiqlServer::UpdateAdmissionPressure() {
 }
 
 Status AiqlServer::Start() {
-  if (db_ == nullptr && shards_ == nullptr) {
+  if (source_ == nullptr && shards_ == nullptr) {
     return Status::InvalidArgument("server needs a database or a shard map");
   }
   if (started_) return Status::AlreadyExists("server already started");
@@ -468,8 +463,9 @@ std::string AiqlServer::HandleRequest(Session* session,
             std::to_string(request.version) + ", server speaks " +
             std::to_string(kProtocolVersion)));
       }
-      uint64_t events = shards_ != nullptr ? shards_->TotalEvents()
-                                           : db_->stats().total_events;
+      uint64_t events = shards_ != nullptr
+                            ? shards_->TotalEvents()
+                            : source_->OpenReadView().stats().total_events;
       std::string banner =
           "aiql-server protocol " + std::to_string(kProtocolVersion) + "; " +
           std::to_string(events) + " events, " +
@@ -558,7 +554,7 @@ std::string AiqlServer::HandleQuery(Session* session, const std::string& text,
 std::string AiqlServer::HandleTrack(Session* session,
                                     const TrackCommand& command) {
   if ((command.want_dot || command.want_cypher) &&
-      (session->use_shards || db_ == nullptr)) {
+      (session->use_shards || source_ == nullptr)) {
     return EncodeError(Status::InvalidArgument(
         "dot/cypher export is single-database only; send `shards off` "
         "first"));
@@ -592,17 +588,25 @@ std::string AiqlServer::HandleTrack(Session* session,
     return EncodeError(result.status());
   }
   tracks_executed_.fetch_add(1, std::memory_order_relaxed);
+  // Names render under fresh views: entity stores only grow, so every id
+  // the track returned is still there, and the views keep a live writer
+  // from interning while we read.
+  std::vector<ReadView> views;
+  if (session->use_shards) {
+    views = shards_->OpenReadViews();
+  } else {
+    views.push_back(source_->OpenReadView());
+  }
   TrackReply reply;
   if (command.want_dot || command.want_cypher) {
     reply.text = command.want_dot
-                     ? ProvenanceToDot(*result, db_->entities())
-                     : ProvenanceToCypher(*result, db_->entities());
+                     ? ProvenanceToDot(*result, views[0].entities())
+                     : ProvenanceToCypher(*result, views[0].entities());
   } else {
     reply.table.columns = {"depth", "type", "entity", "bound"};
     for (const ProvenanceNode& node : result->nodes) {
-      const EntityStore& entities = session->use_shards
-                                        ? shards_->entities(node.shard)
-                                        : db_->entities();
+      const EntityStore& entities =
+          views[session->use_shards ? node.shard : 0].entities();
       reply.table.rows.push_back(
           {std::string(std::to_string(node.depth)),
            std::string(EntityTypeToString(node.type)),
@@ -684,7 +688,7 @@ std::string AiqlServer::HandleSetOption(Session* session,
       return ok("sharded mode on\n" + RenderShardLayout(*shards_));
     }
     if (EqualsIgnoreCase(value, "off")) {
-      if (db_ == nullptr) {
+      if (source_ == nullptr) {
         return EncodeError(Status::NotFound(
             "server has no single database; sharded only"));
       }
@@ -704,7 +708,7 @@ std::string AiqlServer::HandleSetOption(Session* session,
 
 std::string AiqlServer::RenderStats(const Session& session) const {
   std::string out;
-  if (db_ != nullptr) out += RenderDbStats(*db_);
+  if (source_ != nullptr) out += RenderDbStats(source_->OpenReadView());
   if (shards_ != nullptr) out += RenderShardLayout(*shards_);
   if (!retention_.empty()) {
     StatsFields f = RetentionFields();

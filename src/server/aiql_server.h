@@ -1,7 +1,7 @@
 // AiqlServer — the long-lived network front-end over the query engine
 // (ROADMAP item 1): a TCP listener speaking the length-prefixed protocol
 // of server/protocol.h, multiplexing concurrent client sessions over one
-// sharded (or single-database) AiqlEngine.
+// sharded (or single-source) AiqlEngine.
 //
 // Threading: one accept thread, one thread per live session reading
 // frames, and a bounded ThreadPool executing queries. Admission control
@@ -15,8 +15,8 @@
 // Per-session state: the session's QueryLimits (deadline + row/node/byte
 // budgets, enforced through a per-query QueryContext bound via
 // ScopedQueryContext on the executing thread), its engine selection
-// (single-database vs the shard map, strict vs partial degradation), and
-// the DegradedInfo of its last sharded query.
+// (the single served source vs the shard map, strict vs partial
+// degradation), and the DegradedInfo of its last sharded query.
 
 #ifndef AIQL_SERVER_AIQL_SERVER_H_
 #define AIQL_SERVER_AIQL_SERVER_H_
@@ -39,7 +39,6 @@
 
 namespace aiql {
 
-class AuditDatabase;
 class ShardMap;
 class TieredStore;
 
@@ -121,17 +120,16 @@ struct ServerCounters {
 /// joins all threads.
 class AiqlServer {
  public:
-  /// Serves `db` (single-database sessions) and/or `shards` (sharded
-  /// sessions); either may be null, not both. Both are borrowed and must
-  /// outlive the server. Sessions start in sharded mode when a shard map
-  /// is present, single-database mode otherwise, and switch with the
-  /// `shards` option. `engine_options.default_limits` is ignored —
+  /// Serves `source` (single-database sessions: any store) and/or `shards`
+  /// (sharded sessions); either may be null, not both. Both are borrowed
+  /// and must outlive the server. Sessions start in sharded mode when a
+  /// shard map is present, single-database mode otherwise, and switch with
+  /// the `shards` option. `engine_options.default_limits` is ignored —
   /// governance comes from per-session limits.
-  AiqlServer(const AuditDatabase* db, const ShardMap* shards,
+  AiqlServer(const PartitionSource* source, const ShardMap* shards,
              ServerOptions options = {}, EngineOptions engine_options = {});
-  /// Tiered-retention backend: single-database sessions query the tiered
-  /// store (hot + cold partitions), and the store's counters/cache
-  /// pressure are attached as if by AttachRetention. `shards` as above.
+  /// Serves a tiered store as above and attaches it as if by
+  /// AttachRetention.
   AiqlServer(const TieredStore* tiered, const ShardMap* shards,
              ServerOptions options = {}, EngineOptions engine_options = {});
   ~AiqlServer();
@@ -184,7 +182,7 @@ class AiqlServer {
   AiqlEngine* EngineFor(const Session& session) const;
   void ReapFinishedSessions();
 
-  const AuditDatabase* db_ = nullptr;
+  const PartitionSource* source_ = nullptr;
   const ShardMap* shards_ = nullptr;
   std::vector<const TieredStore*> retention_;
   ServerOptions options_;

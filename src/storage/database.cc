@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/failpoint.h"
-#include "storage/snapshot.h"
+#include "storage/cold_catalog.h"
 
 namespace aiql {
 
@@ -24,22 +24,62 @@ bool PartitionStatsSelected(const TimeRange& range,
 
 // --- ReadView ---------------------------------------------------------------
 
+void ReadView::AddCold(std::shared_ptr<const ColdCatalog> cold) {
+  visible_events_ += cold->events();
+  if (!cold->partitions().empty()) {
+    pins_ = std::make_unique<PartitionPinSet>();
+  }
+  cold_ = std::move(cold);
+}
+
 Result<std::vector<std::pair<PartitionKey, const EventPartition*>>>
 ReadView::SelectPartitions(
     const TimeRange& range,
     const std::optional<std::vector<AgentId>>& agents) const {
-  if (tiered_ != nullptr) return TieredSelectPartitions(*this, range, agents);
-  if (store_ != nullptr) {
-    return store_->SelectPartitions(range, agents, pins_.get());
-  }
+  static const std::vector<std::shared_ptr<const ColdPartition>> kNoCold;
+  const auto& cold_list = cold_ != nullptr ? cold_->partitions() : kNoCold;
+  const bool partitioned = options_->enable_partitioning;
+
   std::vector<std::pair<PartitionKey, const EventPartition*>> out;
-  for (const auto& [key, partition] : partitions_) {
-    if (!PartitionStatsSelected(range, agents, options_->enable_partitioning,
-                                key.agent_id, partition->min_ts(),
-                                partition->max_ts(), partition->size())) {
-      continue;
+  // Both lists are ordered by (bucket, agent, seq). Within one
+  // (bucket, agent) the cold partitions carry the lower seqs (they were
+  // sealed — and demoted — before any hot sibling existed), so emitting
+  // cold before hot on a key tie preserves the all-hot selection order.
+  size_t hot = 0;
+  size_t cold = 0;
+  while (hot < partitions_.size() || cold < cold_list.size()) {
+    bool take_cold;
+    if (cold == cold_list.size()) {
+      take_cold = false;
+    } else if (hot == partitions_.size()) {
+      take_cold = true;
+    } else {
+      const auto& ce = cold_list[cold]->entry;
+      const PartitionKey& hk = partitions_[hot].first;
+      take_cold = std::pair<int64_t, AgentId>(ce.bucket, ce.agent) <=
+                  std::pair<int64_t, AgentId>(hk.bucket, hk.agent_id);
     }
-    out.emplace_back(key, partition);
+    if (take_cold) {
+      const ColdPartition& entry = *cold_list[cold++];
+      if (!PartitionStatsSelected(range, agents, partitioned,
+                                  entry.entry.agent, entry.entry.min_ts,
+                                  entry.entry.max_ts, entry.entry.events)) {
+        continue;
+      }
+      AIQL_ASSIGN_OR_RETURN(std::shared_ptr<const EventPartition> pin,
+                            cold_->Materialize(entry));
+      out.emplace_back(PartitionKey{entry.entry.bucket, entry.entry.agent},
+                       pin.get());
+      pins_->Add(std::move(pin));
+    } else {
+      const auto& [key, partition] = partitions_[hot++];
+      if (!PartitionStatsSelected(range, agents, partitioned, key.agent_id,
+                                  partition->min_ts(), partition->max_ts(),
+                                  partition->size())) {
+        continue;
+      }
+      out.emplace_back(key, partition);
+    }
   }
   return out;
 }

@@ -100,10 +100,8 @@ struct DatabaseStats {
 /// ascending in creation order.
 using PartitionMapKey = std::tuple<int64_t, AgentId, uint32_t>;
 
-class AuditDatabase;
-class SnapshotStore;
-class TieredStore;
-class ReadView;
+class ColdCatalog;
+class PartitionCache;
 
 /// Keeps cold-partition materializations alive for the lifetime of the
 /// ReadView that selected them. A memory-budgeted PartitionCache may evict
@@ -119,41 +117,34 @@ struct PartitionPinSet {
     std::lock_guard<std::mutex> lock(mu);
     pins.push_back(std::move(pin));
   }
-  size_t size() {
-    std::lock_guard<std::mutex> lock(mu);
-    return pins.size();
-  }
 };
 
-/// Selection over a tiered view's hot + cold partitions; defined in
-/// storage/tiered.cc (the storage library links both translation units).
-Result<std::vector<std::pair<PartitionKey, const EventPartition*>>>
-TieredSelectPartitions(const ReadView& view, const TimeRange& range,
-                       const std::optional<std::vector<AgentId>>& agents);
-
-/// Shared partition-selection predicate of the batch, view, and snapshot
-/// read paths, evaluated on partition statistics alone (so a lazily loaded
-/// snapshot partition can be ruled out without materializing it).
+/// Shared partition-selection predicate of the batch and view read paths,
+/// evaluated on partition statistics alone (so a cold partition can be
+/// ruled out without materializing it).
 bool PartitionStatsSelected(const TimeRange& range,
                             const std::optional<std::vector<AgentId>>& agents,
                             bool partitioning_enabled, AgentId agent,
                             Timestamp min_ts, Timestamp max_ts,
                             uint64_t num_events);
 
-/// A consistent snapshot of the database's sealed partitions plus aggregate
-/// statistics, opened via AuditDatabase::OpenReadView(). The view holds the
-/// database's state mutex shared for its lifetime: partition pointers,
-/// entity lookups, and statistics stay stable while the ingest thread keeps
-/// buffering (commits wait until the view closes). Queries therefore see
-/// every partition fully sealed — never a partially-sealed one — and
-/// successive views observe monotonically non-decreasing event counts.
+/// A consistent snapshot of a store's sealed partitions plus aggregate
+/// statistics: an ordered hot list (in-memory partitions) and a shared,
+/// immutable cold catalog (partitions on disk, storage/cold_catalog.h).
+/// A database view has an empty catalog, a snapshot view an empty hot
+/// list, and a tiered view both.
 ///
-/// A view can also be backed by a SnapshotStore (a lazily opened v2
-/// snapshot): partition selection then runs on the store's persisted
-/// statistics and materializes only the partitions the query touches, which
-/// is why SelectPartitions returns a Result — a corrupt or truncated
-/// segment surfaces as a clean Status at selection time.
-/// Move-only; cheap to open (one pointer copy per sealed partition).
+/// A database-backed view holds the database's state mutex shared for its
+/// lifetime: partition pointers, entity lookups, and statistics stay
+/// stable while the ingest thread keeps buffering (commits wait until the
+/// view closes). Queries therefore see every partition fully sealed —
+/// never a partially-sealed one — and successive views observe
+/// monotonically non-decreasing event counts.
+///
+/// Selection materializes only the cold partitions it selects, which is
+/// why SelectPartitions returns a Result — a corrupt or truncated segment
+/// surfaces as a clean Status at selection time. Move-only; cheap to open
+/// (one pointer copy per hot partition).
 class ReadView {
  public:
   ReadView() = default;
@@ -163,26 +154,28 @@ class ReadView {
   const EntityStore& entities() const { return *entities_; }
   const StorageOptions& options() const { return *options_; }
 
-  /// Database-wide counters at view-open time (includes events committed to
+  /// Store-wide counters at view-open time (includes events committed to
   /// partitions that are still active, i.e. not yet visible to scans).
   const DatabaseStats& stats() const { return stats_; }
 
   /// Events inside the view's sealed partitions — what scans can see.
   uint64_t visible_events() const { return visible_events_; }
 
-  /// All sealed partitions, ordered by (bucket, agent, seq). Only populated
-  /// for database-backed views; snapshot-backed views expose partitions
-  /// through SelectPartitions so unqueried ones stay on disk.
+  /// The hot (in-memory) sealed partitions, ordered by (bucket, agent,
+  /// seq). Cold partitions are reached through SelectPartitions only, so
+  /// unqueried ones stay on disk.
   const std::vector<std::pair<PartitionKey, const EventPartition*>>&
   partitions() const {
     return partitions_;
   }
 
   /// Sealed partitions overlapping `range`, optionally restricted to
-  /// `agents` (nullopt = all agents). Ordered by (bucket, agent). On a
-  /// snapshot-backed view this materializes (and caches) exactly the
-  /// selected partitions, and fails with IOError/Corruption if a segment
-  /// cannot be read back intact.
+  /// `agents` (nullopt = all agents). Ordered by (bucket, agent, seq), cold
+  /// before hot within one (bucket, agent) — the order an all-hot database
+  /// gives, which is what keeps results identical across residence
+  /// states. Each selected cold partition is materialized and pinned for
+  /// the view's lifetime; an unreadable segment fails with
+  /// IOError/Corruption.
   Result<std::vector<std::pair<PartitionKey, const EventPartition*>>>
   SelectPartitions(const TimeRange& range,
                    const std::optional<std::vector<AgentId>>& agents) const;
@@ -191,25 +184,53 @@ class ReadView {
   friend class AuditDatabase;
   friend class SnapshotStore;
   friend class TieredStore;
-  friend Result<std::vector<std::pair<PartitionKey, const EventPartition*>>>
-  TieredSelectPartitions(const ReadView& view, const TimeRange& range,
-                         const std::optional<std::vector<AgentId>>& agents);
+
+  /// Adds a cold catalog to a view under construction.
+  void AddCold(std::shared_ptr<const ColdCatalog> cold);
 
   const EntityStore* entities_ = nullptr;
   const StorageOptions* options_ = nullptr;
   std::shared_lock<std::shared_mutex> lock_;
   std::vector<std::pair<PartitionKey, const EventPartition*>> partitions_;
-  const SnapshotStore* store_ = nullptr;
-  // Tiered backing: the owning store plus an immutable snapshot of its cold
-  // directory, captured at view-open time so selection never races
-  // background demotion/compaction/tombstoning.
-  const TieredStore* tiered_ = nullptr;
-  std::shared_ptr<const void> tiered_cold_;
-  // Created at view open for snapshot/tiered-backed views; selection adds a
-  // pin for each cold partition it materializes.
-  mutable std::shared_ptr<PartitionPinSet> pins_;
+  std::shared_ptr<const ColdCatalog> cold_;
+  // Created with a non-empty catalog; selection adds a pin for each cold
+  // partition it materializes.
+  std::unique_ptr<PartitionPinSet> pins_;
   DatabaseStats stats_;
   uint64_t visible_events_ = 0;
+};
+
+/// What the engine, the shard map and the server need from a store:
+/// consistent views of its sealed partitions, its entity store, its
+/// statistics, and its cold-partition cache. AuditDatabase, SnapshotStore
+/// and TieredStore implement it.
+class PartitionSource {
+ public:
+  virtual ~PartitionSource() = default;
+
+  /// Safe from any thread, concurrently with ingestion.
+  virtual ReadView OpenReadView() const = 0;
+
+  /// The entity store. Reading it while a writer may still ingest needs
+  /// an open view (interning happens only while no view is open).
+  virtual const EntityStore& entities() const = 0;
+
+  /// Thread-safe copy of the store-wide statistics.
+  virtual DatabaseStats StatsSnapshot() const = 0;
+
+  /// The memory-budgeted cold-partition cache, if the store has one to
+  /// budget.
+  virtual PartitionCache* cache() const { return nullptr; }
+
+  /// Backend name for layouts: "database", "snapshot" or "tiered".
+  virtual const char* kind() const = 0;
+
+ protected:
+  PartitionSource() = default;
+  PartitionSource(const PartitionSource&) = default;
+  PartitionSource& operator=(const PartitionSource&) = default;
+  PartitionSource(PartitionSource&&) = default;
+  PartitionSource& operator=(PartitionSource&&) = default;
 };
 
 /// The storage engine. Write path: Append/AppendBatch -> (rotation seals
@@ -218,7 +239,7 @@ class ReadView {
 /// SelectPartitions / ForEachPartition / partitions() accessors remain for
 /// batch consumers (snapshot, SQL/graph baselines) on a sealed or
 /// quiescent database.
-class AuditDatabase {
+class AuditDatabase final : public PartitionSource {
  public:
   explicit AuditDatabase(StorageOptions options = {});
 
@@ -264,14 +285,16 @@ class AuditDatabase {
 
   /// Opens a consistent snapshot of the sealed partitions + statistics.
   /// Safe to call from any thread, concurrently with ingestion.
-  ReadView OpenReadView() const;
+  ReadView OpenReadView() const override;
 
   /// Thread-safe copy of the current statistics.
-  DatabaseStats StatsSnapshot() const;
+  DatabaseStats StatsSnapshot() const override;
+
+  const char* kind() const override { return "database"; }
 
   // --- batch read access (sealed or quiescent database) --------------------
 
-  const EntityStore& entities() const { return entities_; }
+  const EntityStore& entities() const override { return entities_; }
   const StorageOptions& options() const { return options_; }
   const DatabaseStats& stats() const { return stats_; }
 

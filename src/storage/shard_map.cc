@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "storage/partition_cache.h"
-#include "storage/tiered.h"
 
 namespace aiql {
 
@@ -47,43 +46,20 @@ Result<std::vector<std::vector<EventRecord>>> RouteRecordsByAgent(
   return routed;
 }
 
-Status ShardMap::AddShard(const AuditDatabase* db, ShardRange range) {
-  Shard shard;
-  shard.db = db;
-  shard.range = range;
-  return AddShardImpl(std::move(shard));
-}
-
-Status ShardMap::AddShard(const SnapshotStore* snapshot, ShardRange range) {
-  Shard shard;
-  shard.snapshot = snapshot;
-  shard.range = range;
-  return AddShardImpl(std::move(shard));
-}
-
-Status ShardMap::AddShard(const TieredStore* tiered, ShardRange range) {
-  Shard shard;
-  shard.tiered = tiered;
-  shard.range = range;
-  return AddShardImpl(std::move(shard));
-}
-
-Status ShardMap::AddShardImpl(Shard shard) {
-  if (shard.db == nullptr && shard.snapshot == nullptr &&
-      shard.tiered == nullptr) {
+Status ShardMap::AddShard(const PartitionSource* source, ShardRange range) {
+  if (source == nullptr) {
     return Status::InvalidArgument("shard backend is null");
   }
-  if (shard.range.end <= shard.range.begin) {
+  if (range.end <= range.begin) {
     return Status::InvalidArgument("shard agent range is empty");
   }
   for (const Shard& existing : shards_) {
-    if (shard.range.begin < existing.range.end &&
-        existing.range.begin < shard.range.end) {
+    if (range.begin < existing.range.end && existing.range.begin < range.end) {
       return Status::InvalidArgument(
           "shard agent range overlaps an existing shard");
     }
   }
-  shards_.push_back(std::move(shard));
+  shards_.push_back(Shard{source, range});
   return Status::OK();
 }
 
@@ -98,34 +74,19 @@ std::vector<ReadView> ShardMap::OpenReadViews() const {
   std::vector<ReadView> views;
   views.reserve(shards_.size());
   for (const Shard& shard : shards_) {
-    if (shard.db != nullptr) {
-      views.push_back(shard.db->OpenReadView());
-    } else if (shard.tiered != nullptr) {
-      views.push_back(shard.tiered->OpenReadView());
-    } else {
-      views.push_back(shard.snapshot->OpenReadView());
-    }
+    views.push_back(shard.source->OpenReadView());
   }
   return views;
 }
 
 const EntityStore& ShardMap::entities(size_t shard) const {
-  const Shard& s = shards_[shard];
-  if (s.db != nullptr) return s.db->entities();
-  if (s.tiered != nullptr) return s.tiered->db().entities();
-  return s.snapshot->entities();
+  return shards_[shard].source->entities();
 }
 
 uint64_t ShardMap::TotalEvents() const {
   uint64_t total = 0;
   for (const Shard& shard : shards_) {
-    if (shard.db != nullptr) {
-      total += shard.db->StatsSnapshot().total_events;
-    } else if (shard.tiered != nullptr) {
-      total += shard.tiered->StatsSnapshot().total_events;
-    } else {
-      total += shard.snapshot->stats().total_events;
-    }
+    total += shard.source->StatsSnapshot().total_events;
   }
   return total;
 }
@@ -133,11 +94,8 @@ uint64_t ShardMap::TotalEvents() const {
 size_t ShardMap::SetMemoryBudget(size_t total_bytes) const {
   std::vector<PartitionCache*> caches;
   for (const Shard& shard : shards_) {
-    if (shard.tiered != nullptr) {
-      caches.push_back(shard.tiered->cache());
-    } else if (shard.snapshot != nullptr &&
-               shard.snapshot->cache() != nullptr) {
-      caches.push_back(shard.snapshot->cache());
+    if (PartitionCache* cache = shard.source->cache()) {
+      caches.push_back(cache);
     }
   }
   if (caches.empty()) return 0;

@@ -3,7 +3,8 @@
 // The deployed system ingests audit streams from thousands of hosts; one
 // AuditDatabase cannot hold the fleet. A ShardMap splits the fleet by agent
 // (host) range: each shard owns a contiguous half-open agent range and is
-// backed by either a live AuditDatabase or a lazily opened SnapshotStore.
+// backed by any PartitionSource — a live AuditDatabase, a lazily opened
+// SnapshotStore, or a TieredStore.
 // Events are routed by `EventRecord::agent_id`, so a shard holds exactly
 // the (bucket, agent) partitions a single database would hold for its
 // agents — sharding changes data placement, never partition contents.
@@ -28,11 +29,8 @@
 #include "common/status.h"
 #include "storage/data_model.h"
 #include "storage/database.h"
-#include "storage/snapshot.h"
 
 namespace aiql {
-
-class TieredStore;
 
 /// Half-open agent range [begin, end) owned by one shard.
 struct ShardRange {
@@ -58,33 +56,25 @@ Result<std::vector<std::vector<EventRecord>>> RouteRecordsByAgent(
     const std::vector<EventRecord>& records);
 
 /// An immutable mapping from agent ranges to shard backends. Backends are
-/// borrowed: every database / snapshot store must outlive the map (and any
-/// engine over it). Thread-safe after construction (all accessors const).
+/// borrowed: every store must outlive the map (and any engine over it).
+/// Thread-safe after construction (all accessors const).
 class ShardMap {
  public:
   ShardMap() = default;
 
-  /// Adds a live-database shard owning `range`. Fails on an empty range or
-  /// one overlapping an existing shard.
-  Status AddShard(const AuditDatabase* db, ShardRange range);
-  /// Adds a snapshot-backed shard owning `range`.
-  Status AddShard(const SnapshotStore* snapshot, ShardRange range);
-  /// Adds a tiered-retention shard owning `range` (hot + cold partitions,
-  /// memory-budgeted cold cache; see storage/tiered.h).
-  Status AddShard(const TieredStore* tiered, ShardRange range);
+  /// Adds a shard owning `range`. Fails on a null source, an empty range,
+  /// or one overlapping an existing shard.
+  Status AddShard(const PartitionSource* source, ShardRange range);
 
   size_t num_shards() const { return shards_.size(); }
   const ShardRange& range(size_t shard) const { return shards_[shard].range; }
-  bool shard_is_snapshot(size_t shard) const {
-    return shards_[shard].snapshot != nullptr;
-  }
-  bool shard_is_tiered(size_t shard) const {
-    return shards_[shard].tiered != nullptr;
+  const PartitionSource* source(size_t shard) const {
+    return shards_[shard].source;
   }
 
   /// Splits one fleet-wide cold-cache byte budget evenly across the shards
-  /// that own a memory-budgeted cache (tiered shards, plus snapshot shards
-  /// with an attached cache). Shards without a cache are unaffected; 0
+  /// whose source has a budgetable cache (tiered shards, plus snapshot
+  /// shards with an attached cache). Shards without one are unaffected; 0
   /// lifts every per-shard budget. Returns the number of shards budgeted.
   size_t SetMemoryBudget(size_t total_bytes) const;
 
@@ -107,13 +97,9 @@ class ShardMap {
 
  private:
   struct Shard {
-    const AuditDatabase* db = nullptr;
-    const SnapshotStore* snapshot = nullptr;
-    const TieredStore* tiered = nullptr;
+    const PartitionSource* source = nullptr;
     ShardRange range;
   };
-
-  Status AddShardImpl(Shard shard);
 
   std::vector<Shard> shards_;
 };

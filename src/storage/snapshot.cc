@@ -6,7 +6,6 @@
 #include <string_view>
 #include <unordered_map>
 
-#include "common/cancellation.h"
 #include "common/checksum.h"
 #include "common/failpoint.h"
 #include "common/varint.h"
@@ -440,26 +439,11 @@ Status SaveSnapshotV1(const AuditDatabase& db, const std::string& path) {
 // SnapshotStore
 // =============================================================================
 
-struct SnapshotStore::PartitionHandle {
-  PartitionDirEntry entry;
-  // Keep-forever mode (no cache): `storage` owns the partition, `loaded`
-  // publishes it for the lock-free fast path.
-  std::atomic<const EventPartition*> loaded{nullptr};
-  std::unique_ptr<EventPartition> storage;  // guarded by load_mu_
-  // Cache mode: ownership lives in the cache + query pins; `weak` revives
-  // a partition that was evicted while a query still pins it, `bytes`
-  // remembers the footprint charged per residence. Guarded by load_mu_.
-  std::weak_ptr<const EventPartition> weak;
-  std::shared_ptr<const EventPartition> strong;  // pinless-select fallback
-  size_t bytes = 0;
-};
+SnapshotStore::~SnapshotStore() { tier_.cache->EraseOwner(this); }
 
-SnapshotStore::~SnapshotStore() {
-  if (cache_ != nullptr) cache_->EraseOwner(this);
-  if (file_ != nullptr) std::fclose(file_);
+void SnapshotStore::AttachCache(PartitionCache* cache) {
+  tier_.cache = cache != nullptr ? cache : &own_cache_;
 }
-
-void SnapshotStore::AttachCache(PartitionCache* cache) { cache_ = cache; }
 
 Result<std::unique_ptr<SnapshotStore>> SnapshotStore::Open(
     const std::string& path) {
@@ -550,132 +534,36 @@ Result<std::unique_ptr<SnapshotStore>> SnapshotStore::Open(
   }
 
   std::unique_ptr<SnapshotStore> store(new SnapshotStore());
-  store->path_ = path;
   store->options_ = footer.options;
   store->stats_ = footer.stats;
   AIQL_RETURN_IF_ERROR(DecodeMetaSegment(meta_bytes, &store->entities_));
+  store->file_ = std::make_unique<SegmentFile>(file.release(), path);
 
-  store->handles_.reserve(footer.partitions.size());
-  for (const PartitionDirEntry& entry : footer.partitions) {
-    auto handle = std::make_unique<PartitionHandle>();
-    handle->entry = entry;
-    store->handles_.push_back(std::move(handle));
-  }
-  store->file_ = file.release();
-  return store;
-}
-
-Result<std::unique_ptr<EventPartition>> SnapshotStore::DecodeHandleLocked(
-    size_t index) const {
-  const PartitionDirEntry& entry = handles_[index]->entry;
-  std::string bytes(static_cast<size_t>(entry.segment.length), '\0');
-  if (Seek64(file_, static_cast<int64_t>(entry.segment.offset), SEEK_SET) !=
-          0 ||
-      std::fread(bytes.data(), 1, bytes.size(), file_) != bytes.size()) {
-    return Status::IOError("cannot read partition segment of '" + path_ +
-                           "'");
-  }
+  ColdTier& tier = store->tier_;
+  tier.owner = store.get();
+  tier.file = store->file_.get();
+  tier.entities = &store->entities_;
+  tier.cache = &store->own_cache_;
   // Chaos injection on the lazy-load read path: a corrupt action damages
-  // `bytes` so the checksum below catches it exactly like real bit rot.
-  AIQL_RETURN_IF_ERROR(Failpoint::HitBuffer("snapshot.read.partition",
-                                            bytes.data(), bytes.size()));
-  if (Checksum64(bytes) != entry.segment.checksum) {
-    return Status::Corruption("partition segment checksum mismatch in '" +
-                              path_ + "'");
+  // the segment bytes so the checksum catches it exactly like real bit rot.
+  tier.read_failpoint = "snapshot.read.partition";
+  // Keys are footer indexes: the footer is already in catalog order.
+  std::vector<std::shared_ptr<const ColdPartition>> partitions;
+  partitions.reserve(footer.partitions.size());
+  for (const PartitionDirEntry& entry : footer.partitions) {
+    auto cold = std::make_shared<ColdPartition>();
+    cold->entry = entry;
+    cold->key = partitions.size();
+    partitions.push_back(std::move(cold));
   }
-  auto partition = std::make_unique<EventPartition>();
-  AIQL_RETURN_IF_ERROR(
-      DecodePartitionSegment(bytes, entry, entities_, partition.get()));
-  return partition;
-}
-
-Result<const EventPartition*> SnapshotStore::Partition(size_t index) const {
-  PartitionHandle& handle = *handles_[index];
-  if (const EventPartition* loaded =
-          handle.loaded.load(std::memory_order_acquire)) {
-    return loaded;
-  }
-  std::lock_guard<std::mutex> lock(load_mu_);
-  if (const EventPartition* loaded =
-          handle.loaded.load(std::memory_order_relaxed)) {
-    return loaded;
-  }
-  AIQL_ASSIGN_OR_RETURN(std::unique_ptr<EventPartition> partition,
-                        DecodeHandleLocked(index));
-  handle.storage = std::move(partition);
-  handle.loaded.store(handle.storage.get(), std::memory_order_release);
-  loaded_count_.fetch_add(1, std::memory_order_relaxed);
-  return handle.storage.get();
+  store->catalog_ =
+      std::make_shared<const ColdCatalog>(&tier, std::move(partitions));
+  return store;
 }
 
 Result<std::shared_ptr<const EventPartition>>
 SnapshotStore::MaterializePartition(size_t index) const {
-  if (cache_ == nullptr) {
-    // Keep-forever mode: the store owns the partition for its lifetime, so
-    // the pin is a non-owning alias.
-    AIQL_ASSIGN_OR_RETURN(const EventPartition* partition, Partition(index));
-    return std::shared_ptr<const EventPartition>(partition,
-                                                 [](const EventPartition*) {});
-  }
-  PartitionHandle& handle = *handles_[index];
-  if (auto pin = cache_->Lookup(this, index)) return pin;
-  std::lock_guard<std::mutex> lock(load_mu_);
-  // Another thread may have materialized it between the cache miss and the
-  // lock; a query pin may also still hold a copy the cache already evicted.
-  // Either way `weak` revives it without touching disk.
-  if (auto pin = handle.weak.lock()) {
-    cache_->Insert(this, index, pin, handle.bytes);
-    return pin;
-  }
-  // Real reopen from disk. `retention.reopen` lets chaos tests fail or delay
-  // exactly this path (first decode of a partition also passes through it).
-  AIQL_RETURN_IF_ERROR(
-      Failpoint::Hit("retention.reopen", static_cast<int64_t>(index)));
-  AIQL_ASSIGN_OR_RETURN(std::unique_ptr<EventPartition> partition,
-                        DecodeHandleLocked(index));
-  if (handle.bytes == 0) {
-    handle.bytes = partition->MemoryFootprint();
-  } else {
-    // bytes was set by an earlier residence, so this decode is a reopen of
-    // an evicted partition.
-    reopens_.fetch_add(1, std::memory_order_relaxed);
-  }
-  std::shared_ptr<const EventPartition> pin(std::move(partition));
-  handle.weak = pin;
-  loaded_count_.fetch_add(1, std::memory_order_relaxed);
-  if (QueryContext* ctx = ScopedQueryContext::Current()) {
-    AIQL_RETURN_IF_ERROR(ctx->ChargeMemory(handle.bytes));
-  }
-  cache_->Insert(this, index, pin, handle.bytes);
-  return pin;
-}
-
-Result<std::vector<std::pair<PartitionKey, const EventPartition*>>>
-SnapshotStore::SelectPartitions(
-    const TimeRange& range,
-    const std::optional<std::vector<AgentId>>& agents,
-    PartitionPinSet* pins) const {
-  std::vector<std::pair<PartitionKey, const EventPartition*>> out;
-  for (size_t i = 0; i < handles_.size(); ++i) {
-    const PartitionDirEntry& entry = handles_[i]->entry;
-    if (!PartitionStatsSelected(range, agents, options_.enable_partitioning,
-                                entry.agent, entry.min_ts, entry.max_ts,
-                                entry.events)) {
-      continue;
-    }
-    AIQL_ASSIGN_OR_RETURN(std::shared_ptr<const EventPartition> pin,
-                          MaterializePartition(i));
-    out.emplace_back(PartitionKey{entry.bucket, entry.agent}, pin.get());
-    if (pins != nullptr) {
-      pins->Add(std::move(pin));
-    } else if (cache_ != nullptr) {
-      // No pin set to carry ownership (direct store use in tests/tools):
-      // park the pin in the handle so the raw pointer stays valid.
-      std::lock_guard<std::mutex> lock(load_mu_);
-      handles_[i]->strong = std::move(pin);
-    }
-  }
-  return out;
+  return catalog_->Materialize(*catalog_->partitions()[index]);
 }
 
 ReadView SnapshotStore::OpenReadView() const {
@@ -683,29 +571,22 @@ ReadView SnapshotStore::OpenReadView() const {
   view.entities_ = &entities_;
   view.options_ = &options_;
   view.stats_ = stats_;
-  view.visible_events_ = stats_.total_events;
-  view.store_ = this;
-  view.pins_ = std::make_shared<PartitionPinSet>();
+  view.AddCold(catalog_);
   return view;
 }
 
-Status SnapshotStore::MaterializeAll() const {
-  for (size_t i = 0; i < handles_.size(); ++i) {
-    AIQL_RETURN_IF_ERROR(Partition(i).status());
-  }
-  return Status::OK();
-}
-
 Result<AuditDatabase> SnapshotStore::ToDatabase() && {
-  AIQL_RETURN_IF_ERROR(MaterializeAll());
   AuditDatabase db(options_);
-  *db.mutable_entities() = std::move(entities_);
-  // Handles are in footer order, i.e. ascending (bucket, agent, seq), so
-  // adoption reassigns the same seqs.
-  for (auto& handle : handles_) {
-    db.AdoptSealedPartition(handle->entry.bucket, handle->entry.agent,
-                            std::move(handle->storage));
+  // Catalog order is ascending (bucket, agent, seq), so adoption reassigns
+  // the same seqs.
+  for (const auto& cold : catalog_->partitions()) {
+    AIQL_ASSIGN_OR_RETURN(
+        std::unique_ptr<EventPartition> partition,
+        file_->ReadPartition(cold->entry, entities_, tier_.read_failpoint));
+    db.AdoptSealedPartition(cold->entry.bucket, cold->entry.agent,
+                            std::move(partition));
   }
+  *db.mutable_entities() = std::move(entities_);
   db.FinishRestore();
   return db;
 }

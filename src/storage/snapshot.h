@@ -16,10 +16,11 @@
 //   [trailer]  footer offset + footer checksum + magic again
 //
 // SnapshotStore::Open reads only the trailer, footer, and META segment;
-// partition segments are materialized lazily — and cached — when a query's
-// time range and agent filter select them, so cold-start latency is driven
-// by data touched, not data stored. Every section is independently
-// checksummed; truncation and bit flips surface as clean Status errors.
+// every partition is cold (storage/cold_catalog.h) and is materialized
+// through a PartitionCache when a query's time range and agent filter
+// select it, so cold-start latency is driven by data touched, not data
+// stored. Every section is independently checksummed; truncation and bit
+// flips surface as clean Status errors.
 //
 // The v1 single-blob format (magic "AIQLSNP1") remains loadable through
 // LoadSnapshot, and SaveSnapshotV1 keeps writing it for compatibility tests
@@ -28,22 +29,16 @@
 #ifndef AIQL_STORAGE_SNAPSHOT_H_
 #define AIQL_STORAGE_SNAPSHOT_H_
 
-#include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "common/status.h"
+#include "storage/cold_catalog.h"
 #include "storage/database.h"
+#include "storage/partition_cache.h"
 
 namespace aiql {
-
-class PartitionCache;
 
 /// Byte sink for snapshot serialization. The production implementation
 /// writes a file; tests inject failing sinks to prove that short writes,
@@ -87,112 +82,80 @@ Result<AuditDatabase> LoadSnapshot(const std::string& path);
 /// A lazily opened v2 snapshot. Open() reads the footer directory, the
 /// persisted statistics, and the entity/dictionary segment — no event data.
 /// OpenReadView() then serves the same ReadView interface the engine uses
-/// against a live database: partition selection runs on the persisted
-/// per-partition statistics, and only the selected partitions are read,
-/// checksum-verified, decoded, and cached.
+/// against a live database, with every partition in its cold catalog:
+/// partition selection runs on the persisted per-partition statistics, and
+/// only the selected partitions are read, checksum-verified, decoded, and
+/// cached.
 ///
 /// Thread-safe: concurrent queries may materialize partitions through one
-/// store; loads are serialized on an internal mutex while the
-/// already-materialized fast path is lock-free.
-class SnapshotStore {
+/// store; decodes are serialized per store, cache hits are not.
+class SnapshotStore final : public PartitionSource {
  public:
   /// Opens a v2 snapshot. Returns InvalidArgument for v1 snapshots (use
   /// LoadSnapshot), Corruption/IOError for damaged files.
   static Result<std::unique_ptr<SnapshotStore>> Open(const std::string& path);
 
-  ~SnapshotStore();
+  ~SnapshotStore() override;
 
   SnapshotStore(const SnapshotStore&) = delete;
   SnapshotStore& operator=(const SnapshotStore&) = delete;
 
-  const std::string& path() const { return path_; }
-  const EntityStore& entities() const { return entities_; }
+  const std::string& path() const { return file_->path; }
+  const EntityStore& entities() const override { return entities_; }
   const StorageOptions& options() const { return options_; }
 
   /// Database-wide statistics as persisted at save time.
   const DatabaseStats& stats() const { return stats_; }
+  DatabaseStats StatsSnapshot() const override { return stats_; }
 
-  uint64_t total_partitions() const { return handles_.size(); }
+  const char* kind() const override { return "snapshot"; }
 
-  /// Partition materializations so far (monotone; for tests and metrics).
-  /// With a cache attached this counts every decode, including reopens of
-  /// previously evicted partitions.
+  uint64_t total_partitions() const { return catalog_->partitions().size(); }
+
+  /// Partition decodes so far (monotone; for tests and metrics), reopens
+  /// of evicted partitions included.
   uint64_t loaded_partitions() const {
-    return loaded_count_.load(std::memory_order_relaxed);
+    return tier_.decodes.load(std::memory_order_relaxed);
   }
 
   /// Attaches a memory-budgeted LRU cache (borrowed; must outlive the
-  /// store). Materialized partitions are then owned by the cache plus any
-  /// query pins instead of being held forever: when the cache evicts one
-  /// under budget pressure, the next selection reopens it from disk (the
-  /// `retention.reopen` failpoint covers that path). Call before the store
-  /// is shared across threads.
+  /// store) in place of the store's private unlimited one: when it evicts
+  /// a partition under budget pressure, the next selection reopens it from
+  /// disk. Call before the store is shared across threads.
   void AttachCache(PartitionCache* cache);
-  PartitionCache* cache() const { return cache_; }
-
-  /// Cache-mode reopen decodes (a reopen is any decode after the first).
-  uint64_t reopens() const {
-    return reopens_.load(std::memory_order_relaxed);
+  /// The attached cache; null while the private unlimited one serves.
+  PartitionCache* cache() const override {
+    return tier_.cache == &own_cache_ ? nullptr : tier_.cache;
   }
 
-  /// Materializes partition `index`, returning a pin that keeps it alive
-  /// independent of cache eviction. Without a cache the pin aliases the
-  /// store-owned partition.
+  /// Reopen decodes (a reopen is any decode after the first).
+  uint64_t reopens() const {
+    return tier_.reopens.load(std::memory_order_relaxed);
+  }
+
+  /// Materializes partition `index` (footer order), returning a pin that
+  /// keeps it alive independent of cache eviction.
   Result<std::shared_ptr<const EventPartition>> MaterializePartition(
       size_t index) const;
 
-  /// Opens a snapshot-backed read view over this store. The view's
-  /// SelectPartitions materializes exactly the partitions it selects. The
-  /// store must outlive the view.
-  ReadView OpenReadView() const;
-
-  /// Sealed partitions overlapping `range` / `agents`, materializing (and
-  /// caching) each selected partition. Ordered by (bucket, agent, seq).
-  /// With a cache attached, each materialized partition is pinned into
-  /// `pins` so eviction cannot invalidate the returned pointers; passing
-  /// no pin set falls back to pinning inside the store (never reclaimed).
-  Result<std::vector<std::pair<PartitionKey, const EventPartition*>>>
-  SelectPartitions(const TimeRange& range,
-                   const std::optional<std::vector<AgentId>>& agents,
-                   PartitionPinSet* pins) const;
-
-  Result<std::vector<std::pair<PartitionKey, const EventPartition*>>>
-  SelectPartitions(const TimeRange& range,
-                   const std::optional<std::vector<AgentId>>& agents) const {
-    return SelectPartitions(range, agents, nullptr);
-  }
-
-  /// Materializes every partition (full-load compat path).
-  Status MaterializeAll() const;
+  /// Opens a snapshot-backed read view over this store. The store must
+  /// outlive the view.
+  ReadView OpenReadView() const override;
 
   /// Consumes the store into a standalone sealed AuditDatabase (full
   /// materialization) — the LoadSnapshot compat path for v2 files.
   Result<AuditDatabase> ToDatabase() &&;
 
  private:
-  struct PartitionHandle;
-
   SnapshotStore() = default;
 
-  /// Materializes handle `index` if needed; returns the sealed partition.
-  Result<const EventPartition*> Partition(size_t index) const;
-
-  /// Reads + checksum-verifies + decodes segment `index` (load_mu_ held).
-  Result<std::unique_ptr<EventPartition>> DecodeHandleLocked(
-      size_t index) const;
-
-  std::string path_;
-  FILE* file_ = nullptr;
+  std::unique_ptr<snapfmt::SegmentFile> file_;
   StorageOptions options_;
   EntityStore entities_;
   DatabaseStats stats_;
-  // Segment reads + materialization are serialized; `loaded` publication
-  // makes the fast path lock-free.
-  mutable std::mutex load_mu_;
-  mutable std::atomic<uint64_t> loaded_count_{0};
-  mutable std::atomic<uint64_t> reopens_{0};
-  mutable std::vector<std::unique_ptr<PartitionHandle>> handles_;
-  PartitionCache* cache_ = nullptr;  // borrowed; null = keep-forever mode
+  PartitionCache own_cache_;  // unlimited; serves until AttachCache
+  ColdTier tier_;
+  std::shared_ptr<const ColdCatalog> catalog_;
 };
 
 }  // namespace aiql

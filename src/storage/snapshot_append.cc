@@ -141,10 +141,6 @@ Result<SnapshotAppender::RecoveredState> TryRecoverFooter(
 
 }  // namespace
 
-SnapshotAppender::~SnapshotAppender() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
 Result<std::unique_ptr<SnapshotAppender>> SnapshotAppender::Open(
     const std::string& dir) {
   if (mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
@@ -153,16 +149,16 @@ Result<std::unique_ptr<SnapshotAppender>> SnapshotAppender::Open(
 
   std::unique_ptr<SnapshotAppender> appender(new SnapshotAppender());
   appender->dir_ = dir;
-  appender->data_path_ = dir + "/DATA";
+  const std::string data_path = dir + "/DATA";
 
   std::vector<uint64_t> footer_seqs = ListFooterSeqs(dir);
 
-  FILE* data = std::fopen(appender->data_path_.c_str(), "r+b");
+  FILE* data = std::fopen(data_path.c_str(), "r+b");
   uint64_t data_size = 0;
   if (data != nullptr) {
     if (Seek64(data, 0, SEEK_END) != 0) {
       std::fclose(data);
-      return Status::IOError("cannot seek in '" + appender->data_path_ + "'");
+      return Status::IOError("cannot seek in '" + data_path + "'");
     }
     data_size = static_cast<uint64_t>(Tell64(data));
   }
@@ -172,7 +168,7 @@ Result<std::unique_ptr<SnapshotAppender>> SnapshotAppender::Open(
     if (Seek64(data, 0, SEEK_SET) != 0 ||
         std::fread(header, 1, sizeof(header), data) != sizeof(header)) {
       std::fclose(data);
-      return Status::IOError("cannot read '" + appender->data_path_ + "'");
+      return Status::IOError("cannot read '" + data_path + "'");
     }
     valid_header = GetFixed64(header) == kV2Magic &&
                    GetFixed32(header + 8) == kV2Version;
@@ -182,26 +178,26 @@ Result<std::unique_ptr<SnapshotAppender>> SnapshotAppender::Open(
     // With a committed footer present, a bad header is real damage.
     if (!footer_seqs.empty()) {
       if (data != nullptr) std::fclose(data);
-      return Status::Corruption("'" + appender->data_path_ +
+      return Status::Corruption("'" + data_path +
                                 "' has committed footers but no valid "
                                 "snapshot header");
     }
     if (data != nullptr) std::fclose(data);
-    data = std::fopen(appender->data_path_.c_str(), "w+b");
+    data = std::fopen(data_path.c_str(), "w+b");
     if (data == nullptr) {
-      return Status::IOError("cannot create '" + appender->data_path_ + "'");
+      return Status::IOError("cannot create '" + data_path + "'");
     }
     std::string header;
     EncodeHeader(&header);
     if (std::fwrite(header.data(), 1, header.size(), data) != header.size() ||
         std::fflush(data) != 0 || fsync(fileno(data)) != 0) {
       std::fclose(data);
-      return Status::IOError("cannot initialize '" + appender->data_path_ +
+      return Status::IOError("cannot initialize '" + data_path +
                              "'");
     }
     data_size = header.size();
   }
-  appender->file_ = data;
+  appender->data_ = std::make_unique<SegmentFile>(data, data_path);
 
   // Recover from the newest footer that validates end to end; older footers
   // are the fallback when the newest was torn by a crash.
@@ -231,9 +227,9 @@ Result<std::unique_ptr<SnapshotAppender>> SnapshotAppender::Open(
 
 Status SnapshotAppender::WriteAt(uint64_t offset, const void* data,
                                  size_t n) {
-  if (Seek64(file_, static_cast<int64_t>(offset), SEEK_SET) != 0 ||
-      std::fwrite(data, 1, n, file_) != n) {
-    return Status::IOError("cannot write to '" + data_path_ + "'");
+  if (Seek64(data_->file, static_cast<int64_t>(offset), SEEK_SET) != 0 ||
+      std::fwrite(data, 1, n, data_->file) != n) {
+    return Status::IOError("cannot write to '" + data_->path + "'");
   }
   return Status::OK();
 }
@@ -250,7 +246,7 @@ Result<snapfmt::PartitionDirEntry> SnapshotAppender::AppendPartition(
   AIQL_RETURN_IF_ERROR(Failpoint::HitBuffer("retention.demote.write",
                                             segment.data(), segment.size()));
   {
-    std::lock_guard<std::mutex> lock(io_mu_);
+    std::lock_guard<std::mutex> lock(data_->mu);
     AIQL_RETURN_IF_ERROR(WriteAt(write_offset_, segment.data(),
                                  segment.size()));
     write_offset_ += segment.size();
@@ -273,13 +269,13 @@ Status SnapshotAppender::Commit(
   footer.partitions = partitions;
   uint64_t data_end;
   {
-    std::lock_guard<std::mutex> lock(io_mu_);
+    std::lock_guard<std::mutex> lock(data_->mu);
     footer.meta = SegmentRef{write_offset_, meta.size(), Checksum64(meta)};
     AIQL_RETURN_IF_ERROR(WriteAt(write_offset_, meta.data(), meta.size()));
     write_offset_ += meta.size();
     data_end = write_offset_;
-    if (std::fflush(file_) != 0 || fsync(fileno(file_)) != 0) {
-      return Status::IOError("fsync failed for '" + data_path_ + "'");
+    if (std::fflush(data_->file) != 0 || fsync(fileno(data_->file)) != 0) {
+      return Status::IOError("fsync failed for '" + data_->path + "'");
     }
   }
 
@@ -327,29 +323,6 @@ Status SnapshotAppender::Commit(
     }
   }
   return Status::OK();
-}
-
-Result<std::unique_ptr<EventPartition>> SnapshotAppender::ReadPartition(
-    const snapfmt::PartitionDirEntry& entry,
-    const EntityStore& entities) const {
-  std::string bytes(static_cast<size_t>(entry.segment.length), '\0');
-  {
-    std::lock_guard<std::mutex> lock(io_mu_);
-    if (Seek64(file_, static_cast<int64_t>(entry.segment.offset), SEEK_SET) !=
-            0 ||
-        std::fread(bytes.data(), 1, bytes.size(), file_) != bytes.size()) {
-      return Status::IOError("cannot read partition segment of '" +
-                             data_path_ + "'");
-    }
-  }
-  if (Checksum64(bytes) != entry.segment.checksum) {
-    return Status::Corruption("partition segment checksum mismatch in '" +
-                              data_path_ + "'");
-  }
-  auto partition = std::make_unique<EventPartition>();
-  AIQL_RETURN_IF_ERROR(
-      DecodePartitionSegment(bytes, entry, entities, partition.get()));
-  return partition;
 }
 
 }  // namespace aiql

@@ -21,16 +21,14 @@
 // footers are retained as an extra safety margin against a torn latest
 // footer; everything older is pruned at commit.
 //
-// Thread-compatibility: one appender thread; ReadPartition may be called
-// concurrently with appends (both serialize on an internal I/O mutex).
+// Thread-compatibility: one appender thread; reads through data() may run
+// concurrently with appends (both serialize on the segment file's mutex).
 
 #ifndef AIQL_STORAGE_SNAPSHOT_APPEND_H_
 #define AIQL_STORAGE_SNAPSHOT_APPEND_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -59,8 +57,6 @@ class SnapshotAppender {
   /// appends. A directory with no valid footer starts empty.
   static Result<std::unique_ptr<SnapshotAppender>> Open(
       const std::string& dir);
-
-  ~SnapshotAppender();
 
   SnapshotAppender(const SnapshotAppender&) = delete;
   SnapshotAppender& operator=(const SnapshotAppender&) = delete;
@@ -96,11 +92,8 @@ class SnapshotAppender {
                 const EntityStore& entities,
                 const std::vector<snapfmt::PartitionDirEntry>& partitions);
 
-  /// Reads back one committed partition segment (checksum-verified,
-  /// structurally revalidated by the shared decoder).
-  Result<std::unique_ptr<EventPartition>> ReadPartition(
-      const snapfmt::PartitionDirEntry& entry,
-      const EntityStore& entities) const;
+  /// The DATA append log, for reading committed partition segments back.
+  const snapfmt::SegmentFile& data() const { return *data_; }
 
   /// Old footers kept beyond the newest (crash-recovery safety margin).
   static constexpr uint64_t kKeepFooters = 4;
@@ -111,10 +104,8 @@ class SnapshotAppender {
   Status WriteAt(uint64_t offset, const void* data, size_t n);
 
   std::string dir_;
-  std::string data_path_;
-  FILE* file_ = nullptr;           // DATA, "r+b"
-  mutable std::mutex io_mu_;       // serializes seeks/reads/writes on file_
-  uint64_t write_offset_ = 0;      // next append position in DATA
+  std::unique_ptr<snapfmt::SegmentFile> data_;  // DATA, "r+b"
+  uint64_t write_offset_ = 0;  // next append position in DATA
   uint64_t committed_data_end_ = 0;
   uint64_t footer_seq_ = 0;
   std::optional<RecoveredState> recovered_;

@@ -5,6 +5,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/checksum.h"
+#include "common/failpoint.h"
 #include "common/varint.h"
 #include "storage/entity_store.h"
 #include "storage/partition.h"
@@ -691,6 +693,41 @@ Status DecodePartitionSegment(std::string_view bytes,
                            std::move(subject_index), std::move(object_index),
                            std::move(exe_counts), entry.raw_events);
   return Status::OK();
+}
+
+// =============================================================================
+// segment files
+// =============================================================================
+
+SegmentFile::~SegmentFile() {
+  if (file != nullptr) std::fclose(file);
+}
+
+Result<std::unique_ptr<EventPartition>> SegmentFile::ReadPartition(
+    const PartitionDirEntry& entry, const EntityStore& entities,
+    const char* read_failpoint) const {
+  std::string bytes(static_cast<size_t>(entry.segment.length), '\0');
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    if (Seek64(file, static_cast<int64_t>(entry.segment.offset), SEEK_SET) !=
+            0 ||
+        std::fread(bytes.data(), 1, bytes.size(), file) != bytes.size()) {
+      return Status::IOError("cannot read partition segment of '" + path +
+                             "'");
+    }
+  }
+  if (read_failpoint != nullptr) {
+    AIQL_RETURN_IF_ERROR(
+        Failpoint::HitBuffer(read_failpoint, bytes.data(), bytes.size()));
+  }
+  if (Checksum64(bytes) != entry.segment.checksum) {
+    return Status::Corruption("partition segment checksum mismatch in '" +
+                              path + "'");
+  }
+  auto partition = std::make_unique<EventPartition>();
+  AIQL_RETURN_IF_ERROR(
+      DecodePartitionSegment(bytes, entry, entities, partition.get()));
+  return partition;
 }
 
 }  // namespace snapfmt

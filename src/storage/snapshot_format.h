@@ -17,6 +17,8 @@
 #include <array>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -148,6 +150,31 @@ Status DecodePartitionSegment(std::string_view bytes,
                               const PartitionDirEntry& entry,
                               const EntityStore& store,
                               EventPartition* partition);
+
+// --- segment files ----------------------------------------------------------
+
+/// An open file of v2 segments: a snapshot, or a retention directory's DATA
+/// append log. Owns (and closes) the handle; positioned reads and writes
+/// serialize on `mu`, so concurrent readers and one appender may share it.
+struct SegmentFile {
+  SegmentFile(FILE* file, std::string path)
+      : file(file), path(std::move(path)) {}
+  ~SegmentFile();
+  SegmentFile(const SegmentFile&) = delete;
+  SegmentFile& operator=(const SegmentFile&) = delete;
+
+  /// The one partition-segment reader: seek + read under `mu`, then
+  /// checksum-verify and decode against `entities`. A non-null
+  /// `read_failpoint` site sees the raw bytes before the checksum, so an
+  /// injected corruption is caught exactly like real bit rot.
+  Result<std::unique_ptr<EventPartition>> ReadPartition(
+      const PartitionDirEntry& entry, const EntityStore& entities,
+      const char* read_failpoint = nullptr) const;
+
+  FILE* const file;
+  const std::string path;
+  mutable std::mutex mu;
+};
 
 }  // namespace snapfmt
 }  // namespace aiql

@@ -2,22 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
 #include <string>
 #include <tuple>
 #include <utility>
 
-#include "common/cancellation.h"
 #include "common/failpoint.h"
 
 namespace aiql {
 
 namespace {
-
-std::tuple<int64_t, AgentId, uint32_t> EntryKey(
-    const snapfmt::PartitionDirEntry& entry) {
-  return {entry.bucket, entry.agent, entry.seq};
-}
 
 /// Folds `add` into `base` (the view-visible aggregates over hot +
 /// recovered cold data).
@@ -50,20 +43,27 @@ Result<std::unique_ptr<TieredStore>> TieredStore::Create(
   store->cache_.SetBudget(retention.memory_budget_bytes);
   AIQL_ASSIGN_OR_RETURN(store->appender_, SnapshotAppender::Open(retention.dir));
   store->db_ = std::make_unique<AuditDatabase>(storage);
+  ColdTier& tier = store->tier_;
+  tier.owner = store.get();
+  tier.file = &store->appender_->data();
+  tier.entities = &store->db_->entities();
+  tier.cache = &store->cache_;
 
-  auto dir = std::make_shared<ColdDir>();
+  std::vector<std::shared_ptr<const ColdPartition>> cold_list;
   if (std::optional<SnapshotAppender::RecoveredState>& recovered =
           store->appender_->recovered()) {
     // Entities recover from the committed META segment; interning continues
     // from the restored dictionaries, so recovered cold segments and new
     // ingestion share one id space.
     *store->db_->mutable_entities() = std::move(recovered->entities);
-    dir->reserve(recovered->partitions.size());
+    cold_list.reserve(recovered->partitions.size());
+    // Keys follow footer order, which is catalog order: ties keep the
+    // demotion order of the process that committed it.
     for (const snapfmt::PartitionDirEntry& entry : recovered->partitions) {
       auto cold = std::make_shared<ColdPartition>();
       cold->entry = entry;
-      cold->cold_id = store->next_cold_id_++;
-      dir->push_back(std::move(cold));
+      cold->key = store->next_cold_key_++;
+      cold_list.push_back(std::move(cold));
       // Recovered aggregates are rebuilt from the directory entries — the
       // persisted DatabaseStats describe the previous process's full
       // ingest, including hot partitions that (intentionally) did not
@@ -80,13 +80,9 @@ Result<std::unique_ptr<TieredStore>> TieredStore::Create(
       store->recovered_stats_.max_ts =
           std::max(store->recovered_stats_.max_ts, entry.max_ts);
     }
-    std::sort(dir->begin(), dir->end(),
-              [](const std::shared_ptr<const ColdPartition>& a,
-                 const std::shared_ptr<const ColdPartition>& b) {
-                return EntryKey(a->entry) < EntryKey(b->entry);
-              });
   }
-  store->cold_ = std::move(dir);
+  store->cold_ =
+      std::make_shared<const ColdCatalog>(&tier, std::move(cold_list));
   return store;
 }
 
@@ -103,7 +99,7 @@ int64_t TieredStore::NewestBucket() const {
   Timestamp newest = stats.max_ts;
   {
     std::lock_guard<std::mutex> lock(tier_mu_);
-    for (const auto& cold : *cold_) {
+    for (const auto& cold : cold_->partitions()) {
       newest = std::max(newest, cold->entry.max_ts);
     }
   }
@@ -120,115 +116,27 @@ int64_t TieredStore::NewestBucket() const {
 ReadView TieredStore::OpenReadView() const {
   // The database view takes the shared state lock first; tier_mu_ second —
   // the same order the demotion sink uses (exclusive state lock, then
-  // tier_mu_) — so the hot set and the cold directory snapshot are mutually
+  // tier_mu_) — so the hot set and the cold catalog are mutually
   // consistent: a partition is visible in exactly one of them.
   ReadView view = db_->OpenReadView();
-  std::shared_ptr<const ColdDir> cold;
+  std::shared_ptr<const ColdCatalog> cold;
   {
     std::lock_guard<std::mutex> lock(tier_mu_);
     cold = cold_;
   }
-  view.tiered_ = this;
-  view.tiered_cold_ = cold;
-  view.pins_ = std::make_shared<PartitionPinSet>();
-  for (const auto& entry : *cold) {
-    view.visible_events_ += entry->entry.events;
-  }
+  view.AddCold(std::move(cold));
   MergeStats(&view.stats_, recovered_stats_);
   return view;
-}
-
-Result<std::shared_ptr<const EventPartition>> TieredStore::MaterializeCold(
-    const ColdPartition& cold) const {
-  if (auto pin = cache_.Lookup(this, cold.cold_id)) return pin;
-  std::lock_guard<std::mutex> lock(load_mu_);
-  // A query pin may still hold the partition the cache already evicted;
-  // revive it instead of re-reading disk.
-  if (auto pin = cold.weak.lock()) {
-    cache_.Insert(this, cold.cold_id, pin, cold.bytes);
-    return pin;
-  }
-  AIQL_RETURN_IF_ERROR(Failpoint::Hit("retention.reopen",
-                                      static_cast<int64_t>(cold.cold_id)));
-  AIQL_ASSIGN_OR_RETURN(
-      std::unique_ptr<EventPartition> partition,
-      appender_->ReadPartition(cold.entry, db_->entities()));
-  if (cold.bytes == 0) {
-    cold.bytes = partition->MemoryFootprint();
-  } else {
-    reopens_.fetch_add(1, std::memory_order_relaxed);
-  }
-  std::shared_ptr<const EventPartition> pin(std::move(partition));
-  cold.weak = pin;
-  if (QueryContext* ctx = ScopedQueryContext::Current()) {
-    AIQL_RETURN_IF_ERROR(ctx->ChargeMemory(cold.bytes));
-  }
-  cache_.Insert(this, cold.cold_id, pin, cold.bytes);
-  return pin;
-}
-
-Result<std::vector<std::pair<PartitionKey, const EventPartition*>>>
-TieredSelectPartitions(const ReadView& view, const TimeRange& range,
-                       const std::optional<std::vector<AgentId>>& agents) {
-  const TieredStore* store = view.tiered_;
-  const auto& cold_dir =
-      *static_cast<const TieredStore::ColdDir*>(view.tiered_cold_.get());
-  const bool partitioned = view.options().enable_partitioning;
-
-  std::vector<std::pair<PartitionKey, const EventPartition*>> out;
-  // Both inputs are ordered by (bucket, agent, seq). Within one
-  // (bucket, agent) the cold partitions carry the lower seqs (they were
-  // sealed — and demoted — before any hot sibling existed), so emitting
-  // cold before hot on a key tie preserves the all-hot selection order,
-  // which is what makes tiered results byte-identical.
-  size_t hot = 0;
-  size_t cold = 0;
-  const auto& hot_list = view.partitions_;
-  while (hot < hot_list.size() || cold < cold_dir.size()) {
-    bool take_cold;
-    if (cold == cold_dir.size()) {
-      take_cold = false;
-    } else if (hot == hot_list.size()) {
-      take_cold = true;
-    } else {
-      const auto& ce = cold_dir[cold]->entry;
-      const PartitionKey& hk = hot_list[hot].first;
-      take_cold = std::pair<int64_t, AgentId>(ce.bucket, ce.agent) <=
-                  std::pair<int64_t, AgentId>(hk.bucket, hk.agent_id);
-    }
-    if (take_cold) {
-      const TieredStore::ColdPartition& entry = *cold_dir[cold++];
-      if (!PartitionStatsSelected(range, agents, partitioned,
-                                  entry.entry.agent, entry.entry.min_ts,
-                                  entry.entry.max_ts, entry.entry.events)) {
-        continue;
-      }
-      AIQL_ASSIGN_OR_RETURN(std::shared_ptr<const EventPartition> pin,
-                            store->MaterializeCold(entry));
-      out.emplace_back(PartitionKey{entry.entry.bucket, entry.entry.agent},
-                       pin.get());
-      view.pins_->Add(std::move(pin));
-    } else {
-      const auto& [key, partition] = hot_list[hot++];
-      if (!PartitionStatsSelected(range, agents, partitioned, key.agent_id,
-                                  partition->min_ts(), partition->max_ts(),
-                                  partition->size())) {
-        continue;
-      }
-      out.emplace_back(key, partition);
-    }
-  }
-  return out;
 }
 
 // =============================================================================
 // maintenance
 // =============================================================================
 
-Status TieredStore::CommitColdDir(const ColdDir& dir) {
+Status TieredStore::CommitCatalog(const ColdCatalog& catalog) {
   std::vector<snapfmt::PartitionDirEntry> entries;
-  entries.reserve(dir.size());
-  for (const auto& cold : dir) entries.push_back(cold->entry);
+  entries.reserve(catalog.partitions().size());
+  for (const auto& cold : catalog.partitions()) entries.push_back(cold->entry);
   DatabaseStats stats = db_->StatsSnapshot();
   MergeStats(&stats, recovered_stats_);
   return appender_->Commit(db_->options(), stats, db_->entities(), entries);
@@ -304,12 +212,13 @@ Status TieredStore::DemoteColdPartitions() {
   }
   if (keys.empty()) return Status::OK();
 
-  // Next cold directory: current entries + the partitions being demoted.
-  ColdDir next;
+  // Next cold catalog: current entries + the partitions being demoted.
+  std::vector<std::shared_ptr<const ColdPartition>> next;
   {
     std::lock_guard<std::mutex> lock(tier_mu_);
-    next = *cold_;
+    next = cold_->partitions();
   }
+  std::shared_ptr<const ColdCatalog> published;
   {
     // A read view pins the shared state lock: entities and the sealed
     // partitions stay stable while their segments stream to disk. This
@@ -324,7 +233,7 @@ Status TieredStore::DemoteColdPartitions() {
                                      std::get<2>(keys[i]), *partitions[i]));
       auto cold = std::make_shared<ColdPartition>();
       cold->entry = entry;
-      cold->cold_id = next_cold_id_++;
+      cold->key = next_cold_key_++;
       next.push_back(std::move(cold));
       // Aging: a demoted partition's entities were last referenced no later
       // than its bucket.
@@ -335,20 +244,15 @@ Status TieredStore::DemoteColdPartitions() {
                                     std::get<0>(keys[i]));
       }
     }
-    std::sort(next.begin(), next.end(),
-              [](const std::shared_ptr<const ColdPartition>& a,
-                 const std::shared_ptr<const ColdPartition>& b) {
-                return EntryKey(a->entry) < EntryKey(b->entry);
-              });
+    published = std::make_shared<const ColdCatalog>(&tier_, std::move(next));
     // Durable commit. Failure (or a crash) before this point loses only
     // uncommitted appended bytes; the partitions remain hot.
-    AIQL_RETURN_IF_ERROR(CommitColdDir(next));
+    AIQL_RETURN_IF_ERROR(CommitCatalog(*published));
   }
 
   // The partitions are durable; extract them from the hot map and publish
-  // the new cold directory inside the same exclusive-lock window, so every
+  // the new cold catalog inside the same exclusive-lock window, so every
   // view sees each partition in exactly one tier.
-  auto published = std::make_shared<const ColdDir>(std::move(next));
   bool done = false;
   db_->ExtractSealedPartitions(
       keys, [&](const PartitionMapKey&, std::unique_ptr<EventPartition>) {
@@ -369,14 +273,14 @@ Status TieredStore::TombstoneExpired() {
   if (newest == INT64_MIN) return Status::OK();
   int64_t horizon = newest - retention_.retention_buckets;
 
-  std::shared_ptr<const ColdDir> current;
+  std::shared_ptr<const ColdCatalog> current;
   {
     std::lock_guard<std::mutex> lock(tier_mu_);
     current = cold_;
   }
-  ColdDir keep;
+  std::vector<std::shared_ptr<const ColdPartition>> keep;
   std::vector<std::shared_ptr<const ColdPartition>> dropped;
-  for (const auto& cold : *current) {
+  for (const auto& cold : current->partitions()) {
     if (cold->entry.bucket < horizon) {
       dropped.push_back(cold);
     } else {
@@ -385,20 +289,21 @@ Status TieredStore::TombstoneExpired() {
   }
   if (dropped.empty()) return Status::OK();
 
+  auto kept = std::make_shared<const ColdCatalog>(&tier_, std::move(keep));
   {
     // Entity stability for the META re-encode inside the commit.
     ReadView view = db_->OpenReadView();
-    AIQL_RETURN_IF_ERROR(CommitColdDir(keep));
+    AIQL_RETURN_IF_ERROR(CommitCatalog(*kept));
   }
   {
     std::lock_guard<std::mutex> lock(tier_mu_);
-    cold_ = std::make_shared<const ColdDir>(std::move(keep));
+    cold_ = std::move(kept);
   }
   for (const auto& cold : dropped) {
     // Views that captured the old directory keep their entries alive (and
     // the segments stay readable in the append log); only the budget charge
     // and the committed footer drop the partition.
-    cache_.Erase(this, cold->cold_id);
+    cache_.Erase(this, cold->key);
   }
   tombstones_.fetch_add(dropped.size(), std::memory_order_relaxed);
   return Status::OK();
@@ -457,7 +362,7 @@ RetentionStats TieredStore::stats() const {
   out.hot_partitions = db_->ListSealedPartitions().size();
   {
     std::lock_guard<std::mutex> lock(tier_mu_);
-    out.cold_partitions = cold_->size();
+    out.cold_partitions = cold_->partitions().size();
   }
   out.compactor_passes = compactor_passes_.load(std::memory_order_relaxed);
   out.merges = merges_.load(std::memory_order_relaxed);
@@ -465,7 +370,7 @@ RetentionStats TieredStore::stats() const {
   out.demotions = demotions_.load(std::memory_order_relaxed);
   out.tombstones = tombstones_.load(std::memory_order_relaxed);
   out.commits = appender_->footer_seq();
-  out.reopens = reopens_.load(std::memory_order_relaxed);
+  out.reopens = tier_.reopens.load(std::memory_order_relaxed);
   out.entities_aged = entities_aged_.load(std::memory_order_relaxed);
   out.cache = cache_.stats();
   return out;

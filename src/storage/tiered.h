@@ -26,7 +26,8 @@
 // query runs against a consistent residence assignment even while the
 // compactor keeps moving partitions between tiers — results are
 // byte-identical whether a partition is hot, cold, or was merged
-// mid-stream. Cold materializations are pinned for the view's lifetime
+// mid-stream. The cold directory is a ColdCatalog (storage/cold_catalog.h)
+// whose materializations are pinned for the view's lifetime
 // (PartitionPinSet), so cache eviction reclaims budget without invalidating
 // in-flight scans, and are charged to the running QueryContext's memory
 // budget.
@@ -52,6 +53,7 @@
 
 #include "common/status.h"
 #include "common/time_utils.h"
+#include "storage/cold_catalog.h"
 #include "storage/database.h"
 #include "storage/partition_cache.h"
 #include "storage/snapshot_append.h"
@@ -108,7 +110,7 @@ struct RetentionStats {
 /// Read path: OpenReadView() from any thread. Thread model matches
 /// AuditDatabase (single writer, many readers) plus exactly one maintenance
 /// thread (the compactor, or a test calling CompactOnce()).
-class TieredStore {
+class TieredStore final : public PartitionSource {
  public:
   /// Opens (or creates) the retention directory and recovers any committed
   /// cold partitions + entity dictionaries from its newest valid footer.
@@ -117,7 +119,7 @@ class TieredStore {
                                                          retention);
 
   /// Stops the compactor.
-  ~TieredStore();
+  ~TieredStore() override;
 
   TieredStore(const TieredStore&) = delete;
   TieredStore& operator=(const TieredStore&) = delete;
@@ -139,16 +141,18 @@ class TieredStore {
   /// database's shared state lock, the cold directory as an immutable
   /// snapshot taken in the same atomic step. Safe concurrently with
   /// ingestion and compaction.
-  ReadView OpenReadView() const;
+  ReadView OpenReadView() const override;
 
   const AuditDatabase& db() const { return *db_; }
   AuditDatabase* mutable_db() { return db_.get(); }
+  const EntityStore& entities() const override { return db_->entities(); }
   const RetentionOptions& retention() const { return retention_; }
-  PartitionCache* cache() const { return &cache_; }
+  PartitionCache* cache() const override { return &cache_; }
+  const char* kind() const override { return "tiered"; }
 
   /// Full aggregates over hot data plus the cold partitions recovered from
   /// the retention directory (data demoted by a previous process).
-  DatabaseStats StatsSnapshot() const;
+  DatabaseStats StatsSnapshot() const override;
 
   RetentionStats stats() const;
 
@@ -170,31 +174,10 @@ class TieredStore {
   Status CompactOnce();
 
  private:
-  friend Result<std::vector<std::pair<PartitionKey, const EventPartition*>>>
-  TieredSelectPartitions(const ReadView& view, const TimeRange& range,
-                         const std::optional<std::vector<AgentId>>& agents);
-
-  /// One cold partition: its committed directory entry plus revival state
-  /// for the materialize path. `weak`/`bytes` are guarded by load_mu_; the
-  /// containing directory vector is immutable once published.
-  struct ColdPartition {
-    snapfmt::PartitionDirEntry entry;
-    uint64_t cold_id = 0;  ///< stable cache key, unique per store lifetime
-    mutable std::weak_ptr<const EventPartition> weak;
-    mutable size_t bytes = 0;
-  };
-  using ColdDir = std::vector<std::shared_ptr<const ColdPartition>>;
-
   TieredStore() = default;
 
   /// Newest bucket seen by ingestion (INT64_MIN when empty).
   int64_t NewestBucket() const;
-
-  /// Materializes one cold partition through the cache, charging the
-  /// running QueryContext. The `retention.reopen` failpoint covers every
-  /// disk decode on this path.
-  Result<std::shared_ptr<const EventPartition>> MaterializeCold(
-      const ColdPartition& cold) const;
 
   /// Compaction stages (single maintenance thread).
   Status MergeSmallPartitions();
@@ -202,9 +185,9 @@ class TieredStore {
   Status TombstoneExpired();
   void AgeEntities();
 
-  /// Commits the current cold directory `dir` as the new durable footer
-  /// (META re-encoded under an open read view for entity stability).
-  Status CommitColdDir(const ColdDir& dir);
+  /// Commits `catalog` as the new durable footer (META re-encoded under an
+  /// open read view for entity stability).
+  Status CommitCatalog(const ColdCatalog& catalog);
 
   StorageOptions storage_;
   RetentionOptions retention_;
@@ -212,23 +195,21 @@ class TieredStore {
   std::unique_ptr<SnapshotAppender> appender_;
   mutable PartitionCache cache_;
 
-  // Cold directory, copy-on-write: readers grab the shared_ptr under
+  // Decode state shared by every published catalog.
+  ColdTier tier_;
+
+  // Cold catalog, copy-on-write: readers grab the shared_ptr under
   // tier_mu_ (or inherit it from a view's captured snapshot) and never see
   // a mutation. Lock order: db state_mu (shared or exclusive) before
   // tier_mu_.
   mutable std::mutex tier_mu_;
-  std::shared_ptr<const ColdDir> cold_;
-  uint64_t next_cold_id_ = 0;
+  std::shared_ptr<const ColdCatalog> cold_;
+  uint64_t next_cold_key_ = 0;
 
   // Aggregates of the partitions recovered from the retention directory at
   // Create() — data durable from a previous process, not present in the hot
   // database's own stats. Views report the sum of both.
   DatabaseStats recovered_stats_;
-
-  // Materialize path: serializes decode/revival per store (mirrors
-  // SnapshotStore::load_mu_).
-  mutable std::mutex load_mu_;
-  mutable std::atomic<uint64_t> reopens_{0};
 
   // Lifecycle counters (relaxed; read by stats()).
   std::atomic<uint64_t> compactor_passes_{0};

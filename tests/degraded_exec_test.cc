@@ -441,7 +441,7 @@ std::unique_ptr<TieredFaultWorld> BuildTieredFaultWorld(int events_per_shard) {
 TEST_F(DegradedExecTest, TieredShardReopenFaultDroppedUnderPartialPolicy) {
   auto world = BuildTieredFaultWorld(40);
   ASSERT_NE(world, nullptr);
-  EXPECT_TRUE(world->map.shard_is_tiered(2));
+  EXPECT_STREQ(world->map.source(2)->kind(), "tiered");
   AiqlEngine engine(&world->map, FastRetryOptions(ShardPolicy::kPartial));
   auto clean = engine.Execute(kScanQuery);
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();

@@ -447,5 +447,70 @@ TEST_F(RetentionTest, RetentionHorizonTombstonesAndAgesEntities) {
   EXPECT_EQ((*reopened)->stats().cold_partitions, cold_before);
 }
 
+/// Partition order of a bucket-0 selection, as (agent, first start_ts)
+/// pairs: what scans see, and so what row order they produce.
+std::vector<std::pair<AgentId, Timestamp>> BucketZeroOrder(
+    const ReadView& view) {
+  auto selected =
+      view.SelectPartitions(TimeRange{T0(), T0() + kHour}, std::nullopt);
+  EXPECT_TRUE(selected.ok()) << selected.status().ToString();
+  std::vector<std::pair<AgentId, Timestamp>> order;
+  if (!selected.ok()) return order;
+  for (const auto& [key, partition] : *selected) {
+    order.emplace_back(key.agent_id, partition->events().front().start_ts);
+  }
+  return order;
+}
+
+TEST_F(RetentionTest, LateDataIntoDemotedBucketKeepsAllHotOrder) {
+  // One event per agent in bucket 0 and bucket 3; then, after bucket 0 was
+  // demoted, one late event per agent in bucket 0 and one in bucket 4. The
+  // hot map no longer holds the demoted sibling, so each late partition
+  // restarts at seq 0; once it is demoted too, the catalog holds two equal
+  // (bucket, agent, seq) keys per agent.
+  constexpr AgentId kAgents = 40;
+  auto event = [](AgentId agent, Timestamp start) {
+    return Rec(agent, OpType::kWrite, start, 1, "proc",
+               FileRef{agent, "/f"});
+  };
+  std::vector<EventRecord> first, late;
+  for (AgentId agent = 1; agent <= kAgents; ++agent) {
+    first.push_back(event(agent, T0() + agent * kSecond));
+    first.push_back(event(agent, T0() + 3 * kHour));
+    late.push_back(event(agent, T0() + 30 * kMinute + agent * kSecond));
+    late.push_back(event(agent, T0() + 4 * kHour));
+  }
+
+  AuditDatabase all_hot(StorageOptions{});
+  ASSERT_TRUE(all_hot.AppendBatch(first).ok());
+  ASSERT_TRUE(all_hot.AppendBatch(late).ok());
+  ASSERT_TRUE(all_hot.Flush().ok());
+  std::vector<std::pair<AgentId, Timestamp>> want =
+      BucketZeroOrder(all_hot.OpenReadView());
+  ASSERT_EQ(want.size(), 2 * kAgents);
+
+  RetentionOptions retention;
+  retention.dir = dir_;
+  retention.hot_buckets = 1;
+  retention.compact_min_partitions = 0;
+  auto store = TieredStore::Create(StorageOptions{}, retention);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_TRUE((*store)->AppendBatch(first).ok());
+  ASSERT_TRUE((*store)->Flush().ok());
+  ASSERT_TRUE((*store)->CompactOnce().ok());
+  ASSERT_TRUE((*store)->AppendBatch(late).ok());
+  ASSERT_TRUE((*store)->Flush().ok());
+  ASSERT_TRUE((*store)->CompactOnce().ok());
+  EXPECT_EQ((*store)->stats().demotions, 2 * kAgents);
+  EXPECT_EQ(BucketZeroOrder((*store)->OpenReadView()), want);
+
+  // Recovery keeps the order the committed catalog had.
+  store->reset();
+  retention.hot_buckets = 2;
+  auto reopened = TieredStore::Create(StorageOptions{}, retention);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(BucketZeroOrder((*reopened)->OpenReadView()), want);
+}
+
 }  // namespace
 }  // namespace aiql

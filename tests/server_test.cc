@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -24,6 +25,9 @@
 #include "simulator/scenario.h"
 #include "storage/database.h"
 #include "storage/shard_map.h"
+#include "storage/tiered.h"
+
+#include <unistd.h>
 
 namespace aiql {
 namespace {
@@ -520,6 +524,174 @@ TEST_F(ServerTest, SessionsSwitchBackendsIndependently) {
   a.SortRows();
   b.SortRows();
   EXPECT_TRUE(a == b);
+  server.Stop();
+}
+
+// --- Backend state read through views ---
+
+/// One write by agent `agent` of a fresh file at `start`.
+EventRecord LiveRecord(AgentId agent, Timestamp start, int i) {
+  EventRecord record;
+  record.agent_id = agent;
+  record.op = OpType::kWrite;
+  record.start_ts = start;
+  record.end_ts = start + kSecond;
+  record.amount = 1;
+  record.subject = ProcessRef{agent, 100, "writer.exe", "root"};
+  record.object = FileRef{agent, "/live/f" + std::to_string(i)};
+  return record;
+}
+
+/// Retention directory removed before and after use.
+struct TempRetentionDir {
+  std::string path = "/tmp/aiql_server_test_" +
+                     std::to_string(reinterpret_cast<uintptr_t>(this)) +
+                     "_" + std::to_string(getpid());
+  TempRetentionDir() { Remove(); }
+  ~TempRetentionDir() { Remove(); }
+  void Remove() const {
+    std::remove((path + "/DATA").c_str());
+    for (int seq = 0; seq <= 64; ++seq) {
+      std::remove((path + "/FOOTER." + std::to_string(seq)).c_str());
+    }
+    std::remove((path + "/FOOTER.tmp").c_str());
+    rmdir(path.c_str());
+  }
+};
+
+TEST_F(ServerTest, HelloStatsAndTrackReadThroughViewsDuringIngest) {
+  StorageOptions storage;
+  storage.batch_commit_size = 16;  // frequent commits, each interning
+  AuditDatabase db(storage);
+  const Timestamp t0 = *MakeTimestamp(2018, 5, 10);
+  int next = 0;
+  for (; next < 600; ++next) {
+    ASSERT_TRUE(db.Append(LiveRecord(1, t0 + next * kMinute, next)).ok());
+  }
+  ASSERT_TRUE(db.Flush().ok());
+
+  AiqlServer server(&db, nullptr);
+  ASSERT_TRUE(server.Start().ok());
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    for (int i = next; !stop.load() && i < 200000; ++i) {
+      if (!db.Append(LiveRecord(1, t0 + i * kMinute, i)).ok()) return;
+    }
+  });
+
+  TrackCommand track;
+  track.request.name_like = "/live/f1";
+  track.request.type = EntityType::kFile;
+  track.request.options.backward = true;
+  track.request.options.max_depth = 2;
+  for (int round = 0; round < 20; ++round) {
+    TestClient client = TestClient::Connect(server.port());
+    auto stats = client.Call(EncodeBare(MsgType::kStats));
+    ASSERT_TRUE(stats.ok());
+    ASSERT_EQ(stats->type, MsgType::kStatsOk);
+    EXPECT_NE(stats->text.find("stored events"), std::string::npos);
+    auto reply = client.Call(EncodeTrack(track));
+    ASSERT_TRUE(reply.ok());
+    ASSERT_EQ(reply->type, MsgType::kTrackOk)
+        << reply->error.ToString();
+    EXPECT_GE(reply->track.table.rows.size(), 2u);
+    TrackCommand dot = track;
+    dot.want_dot = true;
+    auto exported = client.Call(EncodeTrack(dot));
+    ASSERT_TRUE(exported.ok());
+    ASSERT_EQ(exported->type, MsgType::kTrackOk);
+    EXPECT_NE(exported->track.text.find("writer.exe"), std::string::npos);
+  }
+  stop.store(true);
+  writer.join();
+  server.Stop();
+}
+
+TEST_F(ServerTest, RecoveredTieredStoreBannerCountsColdEvents) {
+  TempRetentionDir dir;
+  RetentionOptions retention;
+  retention.dir = dir.path;
+  retention.hot_buckets = -1;  // demote everything sealed
+  const Timestamp t0 = *MakeTimestamp(2018, 5, 10);
+  constexpr int kEvents = 150;
+  {
+    auto store = TieredStore::Create(StorageOptions{}, retention);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    for (int i = 0; i < kEvents; ++i) {
+      ASSERT_TRUE((*store)->Append(LiveRecord(1, t0 + i * kMinute, i)).ok());
+    }
+    ASSERT_TRUE((*store)->Seal().ok());
+    ASSERT_TRUE((*store)->CompactOnce().ok());
+    ASSERT_EQ((*store)->stats().hot_partitions, 0u);
+  }
+  auto store = TieredStore::Create(StorageOptions{}, retention);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_EQ((*store)->StatsSnapshot().total_events,
+            static_cast<uint64_t>(kEvents));
+
+  AiqlServer server(store->get(), nullptr);
+  ASSERT_TRUE(server.Start().ok());
+  TestClient client = TestClient::Connect(server.port(), /*hello=*/false);
+  auto hello = client.Call(EncodeHello());
+  ASSERT_TRUE(hello.ok());
+  ASSERT_EQ(hello->type, MsgType::kHelloOk);
+  EXPECT_NE(hello->text.find(std::to_string(kEvents) + " events"),
+            std::string::npos)
+      << hello->text;
+  auto stats = client.Call(EncodeBare(MsgType::kStats));
+  ASSERT_TRUE(stats.ok());
+  ASSERT_EQ(stats->type, MsgType::kStatsOk);
+  EXPECT_NE(stats->text.find("stored events   : " + std::to_string(kEvents)),
+            std::string::npos)
+      << stats->text;
+  server.Stop();
+}
+
+TEST_F(ServerTest, StatsShardLayoutNamesBackendsAndCountsEvents) {
+  TempRetentionDir dir;
+  const Timestamp t0 = *MakeTimestamp(2018, 5, 10);
+  AuditDatabase db{StorageOptions{}};
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_TRUE(db.Append(LiveRecord(1, t0 + i * kMinute, i)).ok());
+  }
+  ASSERT_TRUE(db.Seal().ok());
+  RetentionOptions retention;
+  retention.dir = dir.path;
+  auto tiered = TieredStore::Create(StorageOptions{}, retention);
+  ASSERT_TRUE(tiered.ok()) << tiered.status().ToString();
+  for (int i = 0; i < 45; ++i) {
+    ASSERT_TRUE((*tiered)->Append(LiveRecord(2, t0 + i * kMinute, i)).ok());
+  }
+  ASSERT_TRUE((*tiered)->Seal().ok());
+  ShardMap map;
+  ASSERT_TRUE(map.AddShard(&db, ShardRange{1, 2}).ok());
+  ASSERT_TRUE(map.AddShard(tiered->get(), ShardRange{2, 3}).ok());
+
+  AiqlServer server(static_cast<const PartitionSource*>(nullptr), &map);
+  ASSERT_TRUE(server.Start().ok());
+  TestClient client = TestClient::Connect(server.port());
+  auto stats = client.Call(EncodeBare(MsgType::kStats));
+  ASSERT_TRUE(stats.ok());
+  ASSERT_EQ(stats->type, MsgType::kStatsOk);
+  // One layout row per shard: its backend and its own event count.
+  bool database_row = false, tiered_row = false;
+  size_t pos = 0;
+  while (pos < stats->text.size()) {
+    size_t end = stats->text.find('\n', pos);
+    if (end == std::string::npos) end = stats->text.size();
+    std::string line = stats->text.substr(pos, end - pos);
+    pos = end + 1;
+    if (line.find("database") != std::string::npos) {
+      database_row = line.find(" 30") != std::string::npos;
+    }
+    if (line.find("tiered") != std::string::npos) {
+      tiered_row = line.find(" 45") != std::string::npos;
+    }
+  }
+  EXPECT_TRUE(database_row) << stats->text;
+  EXPECT_TRUE(tiered_row) << stats->text;
+  EXPECT_NE(stats->text.find("75 events total"), std::string::npos)
+      << stats->text;
   server.Stop();
 }
 

@@ -355,7 +355,8 @@ TEST(ShardMapTest, AddShardValidatesRanges) {
   EXPECT_EQ(map.ShardForAgent(3), 0);
   EXPECT_EQ(map.ShardForAgent(5), 1);
   EXPECT_EQ(map.ShardForAgent(9), -1);
-  EXPECT_FALSE(map.shard_is_snapshot(0));
+  EXPECT_EQ(map.source(0), &a);
+  EXPECT_STREQ(map.source(0)->kind(), "database");
 }
 
 }  // namespace

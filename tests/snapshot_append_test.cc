@@ -132,7 +132,8 @@ TEST_F(SnapshotAppendTest, AppendCommitReadBackRoundTrip) {
 
   // Read back every partition through the appender and compare rows.
   for (size_t i = 0; i < entries.size(); ++i) {
-    auto loaded = (*appender)->ReadPartition(entries[i], db.entities());
+    auto loaded =
+        (*appender)->data().ReadPartition(entries[i], db.entities());
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     const std::vector<Event>& got = (*loaded)->events();
     const std::vector<Event>& want = sealed[i].second->events();
@@ -175,7 +176,7 @@ TEST_F(SnapshotAppendTest, ReopenRecoversNewestCommit) {
 
   // Every recovered partition reads back through the reopened appender.
   for (const snapfmt::PartitionDirEntry& entry : state.partitions) {
-    auto loaded = (*reopened)->ReadPartition(entry, state.entities);
+    auto loaded = (*reopened)->data().ReadPartition(entry, state.entities);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     EXPECT_EQ((*loaded)->size(), entry.events);
   }
@@ -240,8 +241,8 @@ TEST_F(SnapshotAppendTest, CommitFailpointFallsBackToPreviousFooter) {
   const SnapshotAppender::RecoveredState& state = *(*reopened)->recovered();
   EXPECT_EQ(state.partitions.size(), 1u);
   // The committed partition survived intact — no partition loss.
-  auto loaded = (*reopened)->ReadPartition(state.partitions[0],
-                                           state.entities);
+  auto loaded = (*reopened)->data().ReadPartition(state.partitions[0],
+                                                  state.entities);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ((*loaded)->size(), sealed[0].second->size());
 
@@ -268,7 +269,7 @@ TEST_F(SnapshotAppendTest, CorruptedDemotionWriteDetectedOnRead) {
       std::get<0>(sealed[0].first), std::get<1>(sealed[0].first),
       std::get<2>(sealed[0].first), *sealed[0].second);
   ASSERT_TRUE(entry.ok()) << entry.status().ToString();
-  auto loaded = (*appender)->ReadPartition(*entry, db.entities());
+  auto loaded = (*appender)->data().ReadPartition(*entry, db.entities());
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
 

@@ -6,9 +6,12 @@
 
 #include <cstdio>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "engine/aiql_engine.h"
 #include "storage/database.h"
+#include "storage/partition_cache.h"
 #include "storage/snapshot.h"
 
 namespace aiql {
@@ -216,6 +219,85 @@ TEST_F(SnapshotV2Test, OpenIsLazyAndQueriesMaterializeOnlyTouchedPartitions) {
   expected_all->table.SortRows();
   actual_all->table.SortRows();
   EXPECT_EQ(actual_all->table, expected_all->table);
+}
+
+/// Runs every query of `queries` `rounds` times from each of `threads`
+/// threads (each starting at a different query) against one store, and
+/// returns each thread's results in query order.
+std::vector<std::vector<ResultTable>> QueryConcurrently(
+    AiqlEngine* engine, const std::vector<std::string>& queries,
+    int threads, int rounds) {
+  std::vector<std::vector<ResultTable>> results(
+      threads, std::vector<ResultTable>(queries.size()));
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      for (int round = 0; round < rounds; ++round) {
+        for (size_t i = 0; i < queries.size(); ++i) {
+          size_t q = (i + t) % queries.size();
+          auto result = engine->Execute(queries[q]);
+          EXPECT_TRUE(result.ok()) << result.status().ToString();
+          if (result.ok()) results[t][q] = std::move(result->table);
+        }
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  return results;
+}
+
+TEST_F(SnapshotV2Test, ConcurrentQueriesMatchSingleThreadedRun) {
+  AuditDatabase db = BuildDatabase();
+  ASSERT_TRUE(SaveSnapshot(db, path_).ok());
+  const std::vector<std::string> queries = {
+      "(from \"00:00:00 05/10/2018\" to \"01:59:59 05/10/2018\") "
+      "agentid = 2 proc p read || write file f return p, f",
+      "proc p write file f as e return p, f, e.amount",
+      "proc p1 start proc p2 as e return p1, p2, e.start_ts "
+      "order by e.start_ts",
+      "proc p connect ip i return distinct p, i",
+  };
+  EngineOptions options;
+  options.enable_parallelism = false;  // row order is the scan order
+
+  std::vector<ResultTable> want;
+  {
+    auto store = SnapshotStore::Open(path_);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    AiqlEngine engine(store->get(), options);
+    for (const std::string& query : queries) {
+      auto result = engine.Execute(query);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_GT(result->table.num_rows(), 0u) << query;
+      want.push_back(std::move(result->table));
+    }
+  }
+
+  // No cache attached: the store's private unlimited cache decodes every
+  // partition exactly once, however many threads race for it.
+  {
+    auto store = SnapshotStore::Open(path_);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    AiqlEngine engine(store->get(), options);
+    for (const auto& got : QueryConcurrently(&engine, queries, 4, 3)) {
+      EXPECT_EQ(got, want);
+    }
+    EXPECT_EQ((*store)->loaded_partitions(), (*store)->total_partitions());
+    EXPECT_EQ((*store)->reopens(), 0u);
+  }
+
+  // A one-byte budget evicts on every insert: queries keep reopening and
+  // reviving partitions other threads still pin.
+  PartitionCache tiny(1);
+  auto store = SnapshotStore::Open(path_);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  (*store)->AttachCache(&tiny);
+  AiqlEngine engine(store->get(), options);
+  for (const auto& got : QueryConcurrently(&engine, queries, 4, 3)) {
+    EXPECT_EQ(got, want);
+  }
+  EXPECT_GT((*store)->reopens(), 0u);
+  EXPECT_LE(tiny.stats().resident, 1u);
 }
 
 TEST_F(SnapshotV2Test, EmptyDatabaseRoundTrips) {
