@@ -50,8 +50,12 @@ bool Triggers(const FailpointSpec& spec, uint64_t hit_index) {
   return unit < spec.probability;
 }
 
-Status MakeInjectedError(const char* name, StatusCode code) {
+/// The injected error names the site and, when it has one, the hit's arg
+/// (a shard index, a partition key), so a run that fails several hits at
+/// once tells which one surfaced.
+Status MakeInjectedError(const char* name, StatusCode code, int64_t arg) {
   std::string msg = "injected by failpoint '" + std::string(name) + "'";
+  if (arg >= 0) msg += " (arg " + std::to_string(arg) + ")";
   return Status(code, std::move(msg));
 }
 
@@ -262,14 +266,14 @@ Status Failpoint::Hit(const char* name, int64_t arg) {
   if (!triggered) return Status::OK();
   switch (spec.action) {
     case FailpointAction::kReturnError:
-      return MakeInjectedError(name, spec.code);
+      return MakeInjectedError(name, spec.code, arg);
     case FailpointAction::kInjectLatency:
       InterruptibleSleep(std::chrono::microseconds(spec.latency_us));
       return Status::OK();
     case FailpointAction::kCorruptRead:
       // No buffer at this site; treat as a read error so the injection is
       // still visible rather than silently dropped.
-      return MakeInjectedError(name, StatusCode::kCorruption);
+      return MakeInjectedError(name, StatusCode::kCorruption, arg);
   }
   return Status::OK();
 }
@@ -284,7 +288,7 @@ Status Failpoint::HitBuffer(const char* name, char* buffer, size_t size,
   if (!triggered) return Status::OK();
   switch (spec.action) {
     case FailpointAction::kReturnError:
-      return MakeInjectedError(name, spec.code);
+      return MakeInjectedError(name, spec.code, arg);
     case FailpointAction::kInjectLatency:
       InterruptibleSleep(std::chrono::microseconds(spec.latency_us));
       return Status::OK();

@@ -73,6 +73,7 @@ Result<QueryResult> AiqlEngine::Dispatch(const ParsedQuery& parsed,
   // buffering while this query runs and commits apply once the view
   // closes; cold partitions materialize only if this query selects them.
   ReadView view = source_->OpenReadView();
+  view.set_decode_pool(pool_.get());
   // Bind the context for the dispatching thread: partition selection may
   // materialize cold partitions, which charge the query's memory budget
   // through the ambient context (workers re-bind it themselves).
@@ -143,6 +144,7 @@ Result<ProvenanceResult> AiqlEngine::Track(const TrackRequest& request,
                                            QueryContext* ctx) {
   if (shards_ != nullptr) return TrackSharded(request, ctx);
   ReadView view = source_->OpenReadView();
+  view.set_decode_pool(pool_.get());
   ScopedQueryContext bind(ctx);
   const EntityStore& entities = view.entities();
   LikeMatcher matcher(request.name_like);
@@ -180,6 +182,7 @@ Result<ProvenanceResult> AiqlEngine::TrackSharded(const TrackRequest& request,
   // One atomic view per shard, taken up front — root resolution and every
   // hop run against this consistent scatter-time snapshot.
   std::vector<ReadView> views = shards_->OpenReadViews();
+  for (ReadView& view : views) view.set_decode_pool(pool_.get());
   LikeMatcher matcher(request.name_like);
   std::vector<ShardEntity> roots;
   for (size_t s = 0; s < views.size(); ++s) {

@@ -127,6 +127,9 @@ Result<QueryResult> ShardedExecutor::Execute(const ParsedQuery& parsed,
   // Scatter-time consistency: every shard's view is taken here, before any
   // work, each atomic against its shard's concurrent ingestion.
   std::vector<ReadView> views = shards_->OpenReadViews();
+  if (options_.enable_parallelism) {
+    for (ReadView& view : views) view.set_decode_pool(pool_);
+  }
 
   switch (parsed.kind) {
     case QueryKind::kMultievent: {

@@ -300,9 +300,10 @@ void AiqlServer::UpdateAdmissionPressure() {
     charged += cache.charged_bytes;
   }
   if (budget == 0) return;  // unlimited caches exert no pressure
-  // Over budget means view pins are holding more cold bytes resident than
-  // eviction can reclaim: halve the query cap so new queries stop piling
-  // additional pins on top, and restore it once the charge drains.
+  // The cache evicts to fit and uncharges evicted entries that queries
+  // still pin, so the charge exceeds the budget only while one resident
+  // partition is larger than the whole budget. Halve the query cap then,
+  // and restore it once the charge is back under budget.
   size_t cap = options_.max_concurrent_queries;
   if (charged > budget) cap = std::max<size_t>(1, cap / 2);
   gate_.SetMaxRunning(cap);

@@ -146,12 +146,14 @@ class AiqlServer {
   void Stop();
 
   /// Registers a tiered-retention store whose lifecycle counters feed the
-  /// kStatsOk structured tail and whose cache pressure feeds admission
-  /// control (call once per store, before Start; borrowed). When the
-  /// aggregate cold-cache charge exceeds the aggregate budget — pinned
-  /// materializations overcommitting RAM — the server halves the
-  /// concurrent-query cap until the charge drains back under budget, so
-  /// admission stops stacking new pinning queries onto cache pressure.
+  /// kStatsOk structured tail and whose cache charge feeds admission
+  /// control (call once per store, before Start; borrowed). While the
+  /// aggregate cold-cache charge exceeds the aggregate budget, the server
+  /// halves the concurrent-query cap. The cache evicts to fit and stops
+  /// charging evicted entries even while queries still pin them, so the
+  /// charge exceeds the budget only when a single materialized partition
+  /// is larger than the whole budget; bytes pinned by running queries do
+  /// not count.
   void AttachRetention(const TieredStore* tiered);
 
   /// Bound port (after a successful Start).

@@ -32,7 +32,7 @@ Result<std::shared_ptr<const EventPartition>> ColdCatalog::Materialize(
     const ColdPartition& cold) const {
   ColdTier& tier = *tier_;
   if (auto pin = tier.cache->Lookup(tier.owner, cold.key)) return pin;
-  std::lock_guard<std::mutex> lock(tier.load_mu);
+  std::lock_guard<std::mutex> lock(cold.mu);
   // Another thread may have materialized it between the cache miss and the
   // lock; a query pin may also still hold a copy the cache already evicted.
   // Either way `weak` revives it without touching disk.
@@ -42,12 +42,12 @@ Result<std::shared_ptr<const EventPartition>> ColdCatalog::Materialize(
   }
   // Every disk decode passes here, the first one included, so chaos tests
   // can fail or delay exactly this path.
-  AIQL_RETURN_IF_ERROR(
-      Failpoint::Hit("retention.reopen", static_cast<int64_t>(cold.key)));
+  const auto arg = static_cast<int64_t>(cold.key);
+  AIQL_RETURN_IF_ERROR(Failpoint::Hit("retention.reopen", arg));
   AIQL_ASSIGN_OR_RETURN(
       std::unique_ptr<EventPartition> partition,
       tier.file->ReadPartition(cold.entry, *tier.entities,
-                               tier.read_failpoint));
+                               tier.read_failpoint, arg));
   if (cold.bytes == 0) {
     cold.bytes = partition->MemoryFootprint();
   } else {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/cancellation.h"
 #include "common/failpoint.h"
 #include "storage/cold_catalog.h"
 
@@ -41,6 +42,9 @@ ReadView::SelectPartitions(
   const bool partitioned = options_->enable_partitioning;
 
   std::vector<std::pair<PartitionKey, const EventPartition*>> out;
+  // (slot in `out`, partition) of each selected cold partition, decoded
+  // after the walk; empty, and unallocated, for a view without cold ones.
+  std::vector<std::pair<size_t, const ColdPartition*>> selected;
   // Both lists are ordered by (bucket, agent, seq). Within one
   // (bucket, agent) the cold partitions carry the lower seqs (they were
   // sealed — and demoted — before any hot sibling existed), so emitting
@@ -66,11 +70,9 @@ ReadView::SelectPartitions(
                                   entry.entry.max_ts, entry.entry.events)) {
         continue;
       }
-      AIQL_ASSIGN_OR_RETURN(std::shared_ptr<const EventPartition> pin,
-                            cold_->Materialize(entry));
+      selected.emplace_back(out.size(), &entry);
       out.emplace_back(PartitionKey{entry.entry.bucket, entry.entry.agent},
-                       pin.get());
-      pins_->Add(std::move(pin));
+                       nullptr);
     } else {
       const auto& [key, partition] = partitions_[hot++];
       if (!PartitionStatsSelected(range, agents, partitioned, key.agent_id,
@@ -81,7 +83,54 @@ ReadView::SelectPartitions(
       out.emplace_back(key, partition);
     }
   }
+  if (!selected.empty()) {
+    AIQL_RETURN_IF_ERROR(MaterializeSelected(selected, &out));
+  }
   return out;
+}
+
+Status ReadView::MaterializeSelected(
+    const std::vector<std::pair<size_t, const ColdPartition*>>& selected,
+    std::vector<std::pair<PartitionKey, const EventPartition*>>* out) const {
+  const size_t n = selected.size();
+  std::vector<std::shared_ptr<const EventPartition>> pins(n);
+  if (decode_pool_ != nullptr && n > 1) {
+    // Distinct partitions lock independently, so these decodes run side by
+    // side. Workers bind the caller's context so charges, deadlines and
+    // cancellation apply as on the caller's thread.
+    QueryContext* ctx = ScopedQueryContext::Current();
+    std::vector<Status> errors(n);
+    auto decode = [&](size_t i) {
+      ScopedQueryContext bind(ctx);
+      Result<std::shared_ptr<const EventPartition>> pin =
+          cold_->Materialize(*selected[i].second);
+      if (pin.ok()) {
+        pins[i] = std::move(*pin);
+      } else {
+        errors[i] = pin.status();
+      }
+    };
+    if (ctx != nullptr) {
+      decode_pool_->ParallelFor(n, decode, [ctx] { return ctx->stopped(); });
+    } else {
+      decode_pool_->ParallelFor(n, decode);
+    }
+    // Errors surface in selection order, whichever worker saw one first.
+    for (size_t i = 0; i < n; ++i) {
+      AIQL_RETURN_IF_ERROR(errors[i]);
+      // Skipped once the query stopped: report why. (A partial-shard merge
+      // may have lifted the deadline since; then decode it here.)
+      if (pins[i] == nullptr) AIQL_RETURN_IF_ERROR(ctx->Check());
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (pins[i] == nullptr) {
+      AIQL_ASSIGN_OR_RETURN(pins[i], cold_->Materialize(*selected[i].second));
+    }
+    (*out)[selected[i].first].second = pins[i].get();
+    pins_->Add(std::move(pins[i]));
+  }
+  return Status::OK();
 }
 
 // --- AuditDatabase ----------------------------------------------------------

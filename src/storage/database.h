@@ -101,6 +101,7 @@ struct DatabaseStats {
 using PartitionMapKey = std::tuple<int64_t, AgentId, uint32_t>;
 
 class ColdCatalog;
+struct ColdPartition;
 class PartitionCache;
 
 /// Keeps cold-partition materializations alive for the lifetime of the
@@ -175,10 +176,17 @@ class ReadView {
   /// gives, which is what keeps results identical across residence
   /// states. Each selected cold partition is materialized and pinned for
   /// the view's lifetime; an unreadable segment fails with
-  /// IOError/Corruption.
+  /// IOError/Corruption — the first failing partition in selection order
+  /// when several fail. With a decode pool, the selected cold partitions
+  /// decode in parallel under the calling thread's QueryContext.
   Result<std::vector<std::pair<PartitionKey, const EventPartition*>>>
   SelectPartitions(const TimeRange& range,
                    const std::optional<std::vector<AgentId>>& agents) const;
+
+  /// Decodes the cold partitions of each selection on `pool` (borrowed;
+  /// must outlive the view's selections). Null, the default, decodes them
+  /// one at a time on the selecting thread.
+  void set_decode_pool(ThreadPool* pool) { decode_pool_ = pool; }
 
  private:
   friend class AuditDatabase;
@@ -188,6 +196,13 @@ class ReadView {
   /// Adds a cold catalog to a view under construction.
   void AddCold(std::shared_ptr<const ColdCatalog> cold);
 
+  /// Materializes the cold partitions `selected` as (slot in `out`,
+  /// partition) in selection order, filling their slots and pinning each
+  /// for the view's lifetime.
+  Status MaterializeSelected(
+      const std::vector<std::pair<size_t, const ColdPartition*>>& selected,
+      std::vector<std::pair<PartitionKey, const EventPartition*>>* out) const;
+
   const EntityStore* entities_ = nullptr;
   const StorageOptions* options_ = nullptr;
   std::shared_lock<std::shared_mutex> lock_;
@@ -196,6 +211,7 @@ class ReadView {
   // Created with a non-empty catalog; selection adds a pin for each cold
   // partition it materializes.
   std::unique_ptr<PartitionPinSet> pins_;
+  ThreadPool* decode_pool_ = nullptr;
   DatabaseStats stats_;
   uint64_t visible_events_ = 0;
 };

@@ -582,7 +582,8 @@ Result<AuditDatabase> SnapshotStore::ToDatabase() && {
   for (const auto& cold : catalog_->partitions()) {
     AIQL_ASSIGN_OR_RETURN(
         std::unique_ptr<EventPartition> partition,
-        file_->ReadPartition(cold->entry, entities_, tier_.read_failpoint));
+        file_->ReadPartition(cold->entry, entities_, tier_.read_failpoint,
+                             static_cast<int64_t>(cold->key)));
     db.AdoptSealedPartition(cold->entry.bucket, cold->entry.agent,
                             std::move(partition));
   }

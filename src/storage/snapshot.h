@@ -88,7 +88,8 @@ Result<AuditDatabase> LoadSnapshot(const std::string& path);
 /// cached.
 ///
 /// Thread-safe: concurrent queries may materialize partitions through one
-/// store; decodes are serialized per store, cache hits are not.
+/// store. Distinct partitions decode in parallel; concurrent requests for
+/// one partition decode it once.
 class SnapshotStore final : public PartitionSource {
  public:
   /// Opens a v2 snapshot. Returns InvalidArgument for v1 snapshots (use

@@ -22,7 +22,9 @@
 // footer; everything older is pruned at commit.
 //
 // Thread-compatibility: one appender thread; reads through data() may run
-// concurrently with appends (both serialize on the segment file's mutex).
+// concurrently with appends and with each other. Only the seek + read of a
+// segment holds the segment file's mutex; checksum and decode run outside
+// it.
 
 #ifndef AIQL_STORAGE_SNAPSHOT_APPEND_H_
 #define AIQL_STORAGE_SNAPSHOT_APPEND_H_

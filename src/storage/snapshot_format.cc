@@ -705,7 +705,7 @@ SegmentFile::~SegmentFile() {
 
 Result<std::unique_ptr<EventPartition>> SegmentFile::ReadPartition(
     const PartitionDirEntry& entry, const EntityStore& entities,
-    const char* read_failpoint) const {
+    const char* read_failpoint, int64_t failpoint_arg) const {
   std::string bytes(static_cast<size_t>(entry.segment.length), '\0');
   {
     std::lock_guard<std::mutex> lock(mu);
@@ -717,8 +717,8 @@ Result<std::unique_ptr<EventPartition>> SegmentFile::ReadPartition(
     }
   }
   if (read_failpoint != nullptr) {
-    AIQL_RETURN_IF_ERROR(
-        Failpoint::HitBuffer(read_failpoint, bytes.data(), bytes.size()));
+    AIQL_RETURN_IF_ERROR(Failpoint::HitBuffer(read_failpoint, bytes.data(),
+                                              bytes.size(), failpoint_arg));
   }
   if (Checksum64(bytes) != entry.segment.checksum) {
     return Status::Corruption("partition segment checksum mismatch in '" +

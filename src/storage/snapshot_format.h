@@ -166,10 +166,12 @@ struct SegmentFile {
   /// The one partition-segment reader: seek + read under `mu`, then
   /// checksum-verify and decode against `entities`. A non-null
   /// `read_failpoint` site sees the raw bytes before the checksum, so an
-  /// injected corruption is caught exactly like real bit rot.
+  /// injected corruption is caught exactly like real bit rot; it fires
+  /// with `failpoint_arg` (the partition's key) as its arg.
   Result<std::unique_ptr<EventPartition>> ReadPartition(
       const PartitionDirEntry& entry, const EntityStore& entities,
-      const char* read_failpoint = nullptr) const;
+      const char* read_failpoint = nullptr,
+      int64_t failpoint_arg = -1) const;
 
   FILE* const file;
   const std::string path;

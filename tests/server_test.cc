@@ -695,6 +695,87 @@ TEST_F(ServerTest, StatsShardLayoutNamesBackendsAndCountsEvents) {
   server.Stop();
 }
 
+/// Reply to a partition-free query sent while another query, stalled in a
+/// cold decode, holds one of the server's two execution slots (no admission
+/// queue). The server serves a fully demoted tiered store of 16 equal
+/// partitions whose cold cache holds `budget_partitions` partitions' worth
+/// of bytes, warmed by one full sweep. kError means admission halved the cap.
+Result<Response> QueryBesideStalledSweep(double budget_partitions) {
+  TempRetentionDir dir;
+  RetentionOptions retention;
+  retention.dir = dir.path;
+  retention.hot_buckets = -1;  // demote everything sealed
+  retention.compact_min_partitions = 0;
+  const Timestamp t0 = *MakeTimestamp(2018, 5, 10);
+  constexpr int kAgents = 4;
+  constexpr int kHours = 4;
+  auto created = TieredStore::Create(StorageOptions{}, retention);
+  AIQL_RETURN_IF_ERROR(created.status());
+  TieredStore& store = **created;
+  for (AgentId agent = 1; agent <= kAgents; ++agent) {
+    for (int i = 0; i < kHours * 60; ++i) {
+      AIQL_RETURN_IF_ERROR(
+          store.Append(LiveRecord(agent, t0 + i * kMinute, i)));
+    }
+  }
+  AIQL_RETURN_IF_ERROR(store.Seal());
+  AIQL_RETURN_IF_ERROR(store.CompactOnce());
+  EXPECT_EQ(store.stats().cold_partitions,
+            static_cast<uint64_t>(kAgents * kHours));
+
+  const std::string sweep = "proc p write file f return distinct p";
+  {
+    // Size the budget from the partitions' actual footprint.
+    AiqlEngine engine(&store);
+    AIQL_RETURN_IF_ERROR(engine.Execute(sweep).status());
+  }
+  PartitionCacheStats all = store.cache()->stats();
+  EXPECT_EQ(all.resident, static_cast<uint64_t>(kAgents * kHours));
+  store.cache()->EraseOwner(&store);
+  store.cache()->SetBudget(static_cast<size_t>(
+      static_cast<double>(all.charged_bytes) / (kAgents * kHours) *
+      budget_partitions));
+
+  ServerOptions options;
+  options.max_concurrent_queries = 2;
+  options.admission_queue_depth = 0;
+  AiqlServer server(&store, nullptr, options);
+  AIQL_RETURN_IF_ERROR(server.Start());
+  TestClient warm = TestClient::Connect(server.port());
+  AIQL_ASSIGN_OR_RETURN(Response warmed,
+                        warm.Call(EncodeTextRequest(MsgType::kQuery, sweep)));
+  EXPECT_EQ(warmed.type, MsgType::kQueryOk) << warmed.error.ToString();
+
+  AIQL_RETURN_IF_ERROR(
+      Failpoint::Configure("retention.reopen=latency(400000)"));
+  TestClient slow = TestClient::Connect(server.port());
+  AIQL_RETURN_IF_ERROR(
+      slow.conn.WriteFrame(EncodeTextRequest(MsgType::kQuery, sweep)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  TestClient fast = TestClient::Connect(server.port());
+  Result<Response> reply = fast.Call(EncodeTextRequest(
+      MsgType::kQuery, "(at \"01/01/2010\") proc p write file f return p"));
+  Failpoint::ClearAll();
+  EXPECT_TRUE(slow.conn.ReadFrame().ok());
+  server.Stop();
+  return reply;
+}
+
+// Admission halves the query cap only while the cold caches' charge exceeds
+// their budget. PartitionCache::Insert evicts to fit and uncharges evicted
+// entries even while queries still pin them, so the charge exceeds the
+// budget only when one partition alone is larger than the whole budget.
+TEST_F(ServerTest, AdmissionHalvesCapOnlyWhenOnePartitionExceedsBudget) {
+  auto below_one = QueryBesideStalledSweep(0.5);
+  ASSERT_TRUE(below_one.ok()) << below_one.status().ToString();
+  ASSERT_EQ(below_one->type, MsgType::kError);
+  EXPECT_EQ(below_one->error.code(), StatusCode::kResourceExhausted);
+
+  auto quarter = QueryBesideStalledSweep(4);
+  ASSERT_TRUE(quarter.ok()) << quarter.status().ToString();
+  EXPECT_EQ(quarter->type, MsgType::kQueryOk) << quarter->error.ToString();
+}
+
 TEST_F(ServerTest, TortureMalformedFramesNeverKillTheServer) {
   World& world = GetWorld();
   AiqlServer server(world.db.get(), &world.shards);
